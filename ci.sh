@@ -269,6 +269,13 @@ if [[ "$RUN_BENCH" == 1 ]]; then
   ' bench/out/ingest.json >/dev/null \
     || { echo "ingest SLO gate failed (see bench/out/ingest.json)" >&2; exit 1; }
   echo "ingest SLO gate passed"
+  # Restart cost: Recover() over 1,000 acknowledged records at the default
+  # engine config re-folds each record inline (eq.-5 work, ~25 us here);
+  # paying a batch linger per record reads several hundred us.
+  jq -e '.recovery.recover_us_per_record <= 100' bench/out/ingest.json \
+    >/dev/null \
+    || { echo "ingest recovery gate failed (see bench/out/ingest.json)" >&2; exit 1; }
+  echo "ingest recovery gate passed"
 fi
 
 echo "==> CI passed"

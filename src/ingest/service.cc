@@ -389,12 +389,14 @@ StatusOr<IngestService::RefreshOutcome> IngestService::RefreshLocked() {
   // The reload dropped the old delta (the refreshed model absorbed those
   // recipes into its statistics); re-fold so they stay visible to SIMILAR,
   // plus any records that arrived after the covered high-water mark.
+  obs::TraceSpan refold_span = child("refold");
   for (const IngestRecord& record : refold_absorbed) {
     FoldIntoEngine(record, 0);
   }
   for (const auto& [sequence, record] : refold_live) {
     FoldIntoEngine(record, sequence);
   }
+  refold_span.End();
 
   RefreshOutcome outcome;
   outcome.fingerprint = verify->fingerprint();

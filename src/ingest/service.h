@@ -51,19 +51,21 @@ struct IngestServiceConfig {
   size_t wal_segment_bytes = 64 * 1024;
   RefreshTrainConfig refresh;
   /// Optional; refresh cycles emit refresh_cycle/build_dataset/train/
-  /// pack/reload/compact spans when set. Not owned.
+  /// pack/reload/compact/refold spans when set. Not owned.
   obs::Tracer* tracer = nullptr;
 };
 
 /// Durable streaming ingestion in front of a serving QueryEngine.
 ///
 /// Accept path (Ingest): canonicalize -> content-key dedup -> CRC-framed
-/// WAL append + fsync -> acknowledge -> fold into the live engine delta
-/// (eq. 5, queryable within one batch linger) -> register still-unknown
-/// terms as pending. The acknowledgement is durable: after a crash,
-/// Recover() replays the WAL and re-folds every acknowledged record
-/// exactly once (redelivery of the same content re-acknowledges the
-/// original sequence without a second WAL append).
+/// WAL append + fsync -> register still-unknown terms as pending -> fold
+/// into the live engine delta (eq. 5, on the ingesting thread, so the
+/// record is queryable when Ingest returns). The acknowledgement is
+/// durable: after a crash, Recover() replays the WAL and re-folds every
+/// acknowledged record exactly once (redelivery of the same content
+/// re-acknowledges the original sequence without a second WAL append).
+/// Recover and every Refresh re-fold their records the same way, so they
+/// cost eq.-5 work per record and no queueing.
 ///
 /// Refresh path (Refresh / RefreshWithRetry): snapshot the accepted
 /// records, rebuild the combined dataset (base corpus + previously
@@ -84,8 +86,9 @@ class IngestService {
     uint64_t sequence = 0;  ///< Durable WAL sequence (original's on dedup).
     bool deduped = false;   ///< Content already acknowledged earlier.
     /// Topic the fold-in landed in; -1 when the fold was skipped (dedup)
-    /// or shed under load (the record is still durable and will be
-    /// covered by recovery/refresh).
+    /// or failed, e.g. because a model reload overtook it (the record is
+    /// still durable and will be covered by recovery/refresh). Folds run
+    /// on the ingesting thread, so none is shed under load.
     int topic = -1;
   };
 
@@ -141,7 +144,8 @@ class IngestService {
                 const recipe::Dataset* base_corpus, FileOps& ops);
 
   /// Folds one record into the engine delta and registers its unknown
-  /// terms; returns the topic (or -1 on shed) without failing the caller.
+  /// terms; returns the topic (or -1 if the fold failed) without failing
+  /// the caller.
   int FoldIntoEngine(const IngestRecord& record, uint64_t sequence);
   /// Refreshes the WAL gauges from the log's current state.
   void RefreshWalGauges();

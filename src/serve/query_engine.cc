@@ -11,6 +11,7 @@
 #include "recipe/features.h"
 #include "recipe/ingredient.h"
 #include "serve/cache.h"
+#include "util/hash_ring.h"
 
 namespace texrheo::serve {
 
@@ -44,6 +45,12 @@ class QueryScope {
 
 math::Vector OrZeros(const math::Vector& v, size_t dim) {
   return v.empty() ? math::Vector(dim) : v;
+}
+
+/// The topic a fold-in lands in: theta's mode.
+int ArgmaxTopic(const std::vector<double>& theta) {
+  return static_cast<int>(std::max_element(theta.begin(), theta.end()) -
+                          theta.begin());
 }
 
 /// One backend's full ranking of a topic's member documents.
@@ -277,6 +284,34 @@ std::shared_ptr<const QueryEngine::ServingState> QueryEngine::BuildState(
   return state;
 }
 
+std::vector<int32_t> QueryEngine::SortedTermIds(const ServingSnapshot& snapshot,
+                                                const TextureQuery& query) {
+  std::vector<int32_t> ids = ResolveTerms(snapshot, query.texture_terms);
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+QueryEngine::CanonicalQuery QueryEngine::Canonicalize(
+    const ServingSnapshot& snapshot, const TextureQuery& query) {
+  CanonicalQuery canonical;
+  canonical.gel = OrZeros(query.gel_concentration, recipe::kNumGelTypes);
+  canonical.emulsion =
+      OrZeros(query.emulsion_concentration, recipe::kNumEmulsionTypes);
+  canonical.term_ids = SortedTermIds(snapshot, query);
+  canonical.key = CanonicalQueryKey(canonical.gel, canonical.emulsion,
+                                    canonical.term_ids, config_.cache_quantum);
+  canonical.stream = Fnv1a64(canonical.key);
+  return canonical;
+}
+
+StatusOr<std::vector<double>> QueryEngine::FoldIn(
+    const ServingSnapshot& snapshot, const std::vector<int32_t>& term_ids,
+    const math::Vector& gel_feature, uint64_t stream) const {
+  Rng rng = Rng::ForStream(config_.seed, stream);
+  return snapshot.FoldInTheta(term_ids, gel_feature, config_.fold_in_sweeps,
+                              config_.alpha, rng);
+}
+
 std::vector<int32_t> QueryEngine::ResolveTerms(
     const ServingSnapshot& snapshot, const std::vector<std::string>& terms) {
   std::vector<int32_t> ids;
@@ -350,8 +385,7 @@ TexturePrediction QueryEngine::BuildPrediction(
     const ServingSnapshot& snapshot, std::vector<double> theta) const {
   TexturePrediction prediction;
   prediction.model_fingerprint = snapshot.fingerprint();
-  prediction.topic = static_cast<int>(
-      std::max_element(theta.begin(), theta.end()) - theta.begin());
+  prediction.topic = ArgmaxTopic(theta);
   // Theta-weighted mixtures over topics: per-pole masses and term marginal.
   std::vector<double> mix(snapshot.vocab_size(), 0.0);
   for (size_t k = 0; k < theta.size(); ++k) {
@@ -389,9 +423,9 @@ void QueryEngine::RunBatch(std::vector<FoldInJob>& batch) {
   obs::TraceSpan dispatch;
   obs::Tracer* tracer = config_.tracer;
   if (tracer != nullptr) dispatch = tracer->StartSpan("batch_dispatch");
-  // Fan the batch across the pool; each job's RNG is keyed on its admission
-  // sequence, so results are independent of batch composition and of which
-  // worker runs the job.
+  // Fan the batch across the pool; each job's RNG is keyed on its query's
+  // canonical key, so results are independent of batch composition and of
+  // which worker runs the job.
   pool_->ParallelFor(
       static_cast<int>(batch.size()), [this, tracer, &batch](int i) {
         FoldInJob& job = batch[static_cast<size_t>(i)];
@@ -399,10 +433,8 @@ void QueryEngine::RunBatch(std::vector<FoldInJob>& batch) {
         if (tracer != nullptr) {
           fold = tracer->StartSpanWithParent("fold_in", job.trace_parent);
         }
-        Rng rng = Rng::ForStream(config_.seed, job.sequence);
-        job.result.set_value(job.snapshot->FoldInTheta(
-            job.term_ids, job.gel_feature, config_.fold_in_sweeps,
-            config_.alpha, rng));
+        job.result.set_value(FoldIn(*job.snapshot, job.term_ids,
+                                    job.gel_feature, job.sequence));
       });
 }
 
@@ -423,15 +455,8 @@ StatusOr<TexturePrediction> QueryEngine::PredictTexture(
   TEXRHEO_RETURN_IF_ERROR(
       CheckTermFreshness(snapshot, query.texture_terms));
 
-  math::Vector gel =
-      OrZeros(query.gel_concentration, recipe::kNumGelTypes);
-  math::Vector emulsion =
-      OrZeros(query.emulsion_concentration, recipe::kNumEmulsionTypes);
-  std::vector<int32_t> term_ids =
-      ResolveTerms(snapshot, query.texture_terms);
-
-  std::string key =
-      CanonicalQueryKey(gel, emulsion, term_ids, config_.cache_quantum);
+  CanonicalQuery canonical = Canonicalize(snapshot, query);
+  const std::string& key = canonical.key;
   if (std::optional<TexturePrediction> hit = cache_.Get(key)) {
     cache_hits_->Increment();
     hit->from_cache = true;
@@ -441,9 +466,11 @@ StatusOr<TexturePrediction> QueryEngine::PredictTexture(
 
   FoldInJob job;
   job.snapshot = state->snapshot;
-  job.term_ids = std::move(term_ids);
-  job.gel_feature = recipe::ToFeature(gel, config_.feature);
-  job.sequence = sequence_.fetch_add(1, std::memory_order_relaxed);
+  job.term_ids = std::move(canonical.term_ids);
+  job.gel_feature = recipe::ToFeature(canonical.gel, config_.feature);
+  // The key's stream, so a recomputed miss equals the hit it replaces and a
+  // streamed record with this content (FoldInDelta) draws the same theta.
+  job.sequence = canonical.stream;
   job.deadline = deadline;
   job.trace_parent = admission.span_id();
   auto future_or = batcher_->Submit(std::move(job));
@@ -527,8 +554,7 @@ StatusOr<SimilarRecipesResult> QueryEngine::SimilarRecipes(
   math::Vector gel = OrZeros(query.gel_concentration, recipe::kNumGelTypes);
   math::Vector emulsion =
       OrZeros(query.emulsion_concentration, recipe::kNumEmulsionTypes);
-  std::vector<int32_t> term_ids = ResolveTerms(snapshot, query.texture_terms);
-  std::sort(term_ids.begin(), term_ids.end());
+  std::vector<int32_t> term_ids = SortedTermIds(snapshot, query);
   term_ids.erase(std::unique(term_ids.begin(), term_ids.end()),
                  term_ids.end());
   if (mode == SimilarityMode::kEmbed && term_ids.empty()) {
@@ -775,42 +801,52 @@ StatusOr<int> QueryEngine::FoldInDelta(const TextureQuery& query,
   // Deliberately not a QueryScope: fold-ins are pipeline work, not client
   // queries, and the ingest layer keeps its own accepted/folded counters.
   TEXRHEO_RETURN_IF_ERROR(ValidateQuery(query));
+  if (DeadlineExpired(deadline)) {
+    errors_->Increment();
+    return Status::DeadlineExceeded("delta fold-in: request deadline passed");
+  }
+  obs::TraceSpan fold;
+  if (config_.tracer != nullptr) fold = config_.tracer->StartSpan("delta_fold");
   std::shared_ptr<const ServingState> state = this->state();
   const ServingSnapshot& snapshot = *state->snapshot;
-
-  math::Vector gel = OrZeros(query.gel_concentration, recipe::kNumGelTypes);
-  math::Vector emulsion =
-      OrZeros(query.emulsion_concentration, recipe::kNumEmulsionTypes);
   // Terms outside the served vocabulary are dropped here; the ingest layer
   // separately registers them via NotePendingTerms so queries naming them
   // fail clean until the next refresh absorbs them.
-  std::vector<int32_t> term_ids = ResolveTerms(snapshot, query.texture_terms);
+  CanonicalQuery canonical = Canonicalize(snapshot, query);
+  math::Vector gel_feature = recipe::ToFeature(canonical.gel, config_.feature);
+  // Placed exactly as SimilarRecipes places a query with this content.
+  int topic = 0;
+  if (query.texture_terms.empty()) {
+    topic = snapshot.InferTopicForFeatures(gel_feature);
+  } else {
+    StatusOr<std::vector<double>> theta =
+        FoldIn(snapshot, canonical.term_ids, gel_feature, canonical.stream);
+    if (!theta.ok()) {
+      errors_->Increment();
+      return theta.status();
+    }
+    topic = ArgmaxTopic(*theta);
+  }
+  fold.End();
 
-  FoldInJob job;
-  job.snapshot = state->snapshot;
-  job.term_ids = term_ids;
-  job.gel_feature = recipe::ToFeature(gel, config_.feature);
-  job.sequence = sequence_.fetch_add(1, std::memory_order_relaxed);
-  job.deadline = deadline;
-  auto future_or = batcher_->Submit(std::move(job));
-  if (!future_or.ok()) {
-    errors_->Increment();
-    return future_or.status();
-  }
-  StatusOr<std::vector<double>> theta = future_or->get();
-  if (!theta.ok()) {
-    errors_->Increment();
-    return theta.status();
-  }
+  std::vector<int32_t>& term_ids = canonical.term_ids;
+  term_ids.erase(std::unique(term_ids.begin(), term_ids.end()),
+                 term_ids.end());
   DeltaDoc doc;
   doc.ingest_sequence = ingest_sequence;
-  doc.topic = static_cast<int>(
-      std::max_element(theta->begin(), theta->end()) - theta->begin());
-  doc.emulsion_concentration = std::move(emulsion);
+  doc.topic = topic;
+  doc.emulsion_concentration = std::move(canonical.emulsion);
   doc.term_ids = std::move(term_ids);
-  const int topic = doc.topic;
   {
     std::lock_guard<std::mutex> lock(delta_mu_);
+    // Reload publishes the new state before it clears the delta under this
+    // lock, so a fold it overtook is dropped here instead of outliving the
+    // clear as a placement by the old model.
+    if (this->state() != state) {
+      errors_->Increment();
+      return Status::Unavailable(
+          "delta fold-in: the model was reloaded during the fold");
+    }
     delta_docs_.push_back(std::move(doc));
   }
   delta_folded_->Increment();

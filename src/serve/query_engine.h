@@ -36,8 +36,10 @@ struct QueryEngineConfig {
   /// not persist training alpha, so serving declares its own (default
   /// matches JointTopicModelConfig::alpha).
   double alpha = 0.3;
-  /// Seed of the per-query RNG streams: query N draws from
-  /// Rng::ForStream(seed, N), so a single-client session is reproducible.
+  /// Seed of the per-query RNG streams: a fold-in draws from
+  /// Rng::ForStream(seed, Fnv1a64(canonical query key)), so its theta
+  /// depends only on the query's content and the model, never on
+  /// scheduling, batch layout or what was asked before it.
   uint64_t seed = 1234;
   /// ThreadPool parallelism used *inside* a fold-in batch. 0 = hardware
   /// concurrency, 1 = run batches on the dispatcher thread alone.
@@ -86,7 +88,8 @@ struct QueryEngineConfig {
   /// Optional tracer (not owned; must outlive the engine). When set, every
   /// query produces an admission span, and each dispatched batch produces
   /// a batch_dispatch span with per-job fold_in children parented to the
-  /// requests' admission spans. Never consulted on the RNG path.
+  /// requests' admission spans; each FoldInDelta produces a root
+  /// delta_fold span. Never consulted on the RNG path.
   obs::Tracer* tracer = nullptr;
 };
 
@@ -213,7 +216,8 @@ struct QueryEngineStats {
 /// in-flight query — it only changes what *subsequent* queries see.
 /// PredictTexture misses flow through the FoldInBatcher (bounded queue,
 /// micro-batching, shed-with-Unavailable under overload) and land in a
-/// canonicalized LRU result cache.
+/// canonicalized LRU result cache. Streamed-recipe fold-ins (FoldInDelta)
+/// bypass the batcher and run on the caller's thread.
 class QueryEngine {
  public:
   /// `corpus` (optional, may be null) enables SimilarRecipes: its documents
@@ -262,12 +266,18 @@ class QueryEngine {
   StatusOr<TopicCardResult> TopicCard(int topic);
 
   /// Folds an accepted streamed recipe into the live serving state via the
-  /// eq.-5 path (through the batcher, so it is queryable within one batch
-  /// linger) and returns the topic it landed in. Delta documents join
-  /// SimilarRecipes rankings with recipe_index >= the indexed corpus size;
-  /// the whole delta is dropped on Reload (a refreshed model has absorbed
-  /// the recipes; the ingest layer re-folds any it has not). Not counted
-  /// as a query — the ingest layer keeps its own pipeline counters.
+  /// eq.-5 path and returns the topic it landed in. The fold runs on the
+  /// calling thread (no batcher hop, so it is never shed under load and
+  /// costs ~fold_in_sweeps Gibbs scans), and the record is queryable when
+  /// this returns. It draws from the same RNG stream as a PredictTexture of
+  /// its content, so a SIMILAR query with exactly the record's content
+  /// lands in the record's topic. Delta documents join SimilarRecipes
+  /// rankings with recipe_index >= the indexed corpus size; the whole delta
+  /// is dropped on Reload (a refreshed model has absorbed the recipes; the
+  /// ingest layer re-folds them against it), and a fold that a Reload
+  /// overtakes is dropped with it (Unavailable) rather than kept as a
+  /// placement by the old model. Not counted as a query — the ingest layer
+  /// keeps its own pipeline counters.
   StatusOr<int> FoldInDelta(const TextureQuery& query,
                             uint64_t ingest_sequence,
                             Deadline deadline = kNoDeadline);
@@ -365,6 +375,29 @@ class QueryEngine {
   /// surfaces are dropped and counted.
   std::vector<int32_t> ResolveTerms(const ServingSnapshot& snapshot,
                                     const std::vector<std::string>& terms);
+  /// ResolveTerms of the query's terms in ascending id order. Eq. 5 reads
+  /// the terms as a bag; folding them in id order makes theta a function of
+  /// the canonical key alone.
+  std::vector<int32_t> SortedTermIds(const ServingSnapshot& snapshot,
+                                     const TextureQuery& query);
+  /// A query's content in canonical form: what the PREDICT cache keys on
+  /// and what eq. 5 reads. PredictTexture and FoldInDelta both build it
+  /// here, so equal content gets the same key and the same RNG stream.
+  struct CanonicalQuery {
+    math::Vector gel;
+    math::Vector emulsion;
+    std::vector<int32_t> term_ids;  ///< SortedTermIds (duplicates kept).
+    std::string key;                ///< CanonicalQueryKey at cache_quantum.
+    uint64_t stream = 0;            ///< Fnv1a64(key): the fold-in RNG stream.
+  };
+  CanonicalQuery Canonicalize(const ServingSnapshot& snapshot,
+                              const TextureQuery& query);
+  /// Eq.-5 theta on `snapshot`, drawn from Rng::ForStream(seed, stream).
+  /// The one fold-in body behind both the batcher and FoldInDelta.
+  StatusOr<std::vector<double>> FoldIn(const ServingSnapshot& snapshot,
+                                       const std::vector<int32_t>& term_ids,
+                                       const math::Vector& gel_feature,
+                                       uint64_t stream) const;
   /// FailedPrecondition when a query term is out of the served vocabulary
   /// but known to be pending in the ingest pipeline (satellite contract:
   /// fail clean, never silently drop a term the WAL already holds).
@@ -426,8 +459,6 @@ class QueryEngine {
   LatencyHistogram* nearest_latency_ = nullptr;
   LatencyHistogram* similar_latency_ = nullptr;
   LatencyHistogram* topic_card_latency_ = nullptr;
-
-  std::atomic<uint64_t> sequence_{0};
 
   /// Streamed-delta state (see DeltaDoc). delta_generation_ versions the
   /// SIMILAR cache key so a fold-in or reload invalidates cached rankings

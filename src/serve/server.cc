@@ -185,6 +185,7 @@ void LineProtocolServer::AcceptLoop() {
       return;  // Listener gone.
     }
     SetNonBlocking(fd);
+    SetNoDelay(fd);
     bool at_capacity;
     {
       std::lock_guard<std::mutex> lock(conn_mu_);
@@ -637,6 +638,7 @@ StatusOr<std::unique_ptr<LineClient>> LineClient::Connect(
     }
     if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) ==
         0) {
+      SetNoDelay(fd);
       if (options.io_timeout_millis > 0) SetNonBlocking(fd);
       return std::unique_ptr<LineClient>(
           new LineClient(fd, options, ops, retries));

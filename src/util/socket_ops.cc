@@ -1,6 +1,8 @@
 #include "util/socket_ops.h"
 
 #include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -42,6 +44,11 @@ bool SetNonBlocking(int fd) {
   int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0) return false;
   return ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
+}
+
+bool SetNoDelay(int fd) {
+  int one = 1;
+  return ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) == 0;
 }
 
 }  // namespace texrheo

@@ -43,6 +43,12 @@ class SocketOps {
 /// never park a thread inside a syscall past its deadline.
 bool SetNonBlocking(int fd);
 
+/// Disables Nagle's algorithm (TCP_NODELAY) on a connected TCP socket. The
+/// line protocol writes one small response per request; with Nagle on, a
+/// response sent while the previous one is still unacknowledged waits for
+/// the peer's delayed ACK (up to tens of milliseconds) or its next request.
+bool SetNoDelay(int fd);
+
 }  // namespace texrheo
 
 #endif  // TEXRHEO_UTIL_SOCKET_OPS_H_

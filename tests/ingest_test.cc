@@ -11,7 +11,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -329,13 +331,19 @@ struct Stack {
   std::unique_ptr<IngestService> service;
 };
 
+serve::QueryEngineConfig FastEngineConfig() {
+  serve::QueryEngineConfig config;
+  config.fold_in_sweeps = 10;
+  config.batch_linger_micros = 0;
+  return config;
+}
+
 Stack MakeStack(const std::string& dir, FileOps& ops = FileOps::Real(),
-                std::string checkpoint_dir = "", uint64_t seed = 77) {
+                std::string checkpoint_dir = "", uint64_t seed = 77,
+                const serve::QueryEngineConfig& engine_config =
+                    FastEngineConfig()) {
   Stack stack;
   stack.corpus = BaseCorpus();
-  serve::QueryEngineConfig engine_config;
-  engine_config.fold_in_sweeps = 10;
-  engine_config.batch_linger_micros = 0;
   auto snapshot = serve::ServingSnapshot::FromModel(BaseModel(), "base");
   EXPECT_TRUE(snapshot.ok());
   auto engine =
@@ -414,6 +422,142 @@ TEST(IngestServiceTest, FoldedRecipesJoinSimilarRankings) {
     saw_delta |= hit.recipe_index >= stack.corpus.documents.size();
   }
   EXPECT_TRUE(saw_delta);
+}
+
+/// Distinct records over both base topics: gelatin sweeps the two gel
+/// Gaussians, terms cycle through every subset of the vocabulary (the empty
+/// one included, which takes SIMILAR's feature-only placement).
+IngestRecord VariedRecord(int i) {
+  static const std::vector<std::vector<std::string>> kTerms = {
+      {"katai"}, {"purupuru"}, {"fuwafuwa", "katai"}, {},
+      {"purupuru", "fuwafuwa"}, {"katai", "purupuru", "fuwafuwa"}};
+  IngestRecord record;
+  record.gel = math::Vector(3);
+  record.gel[0] = 0.0005 + 0.00015 * i;
+  record.gel[1] = 0.001 * (i % 3);
+  record.emulsion = math::Vector(6, 0.05 + 0.01 * (i % 5));
+  record.terms = kTerms[static_cast<size_t>(i) % kTerms.size()];
+  return record;
+}
+
+/// Delta document index -> topic, read off SIMILAR listings of every
+/// record's content (each listing holds its whole topic). Records are
+/// resident in ingest order, so record i is delta document `base + i`;
+/// `own_listed` counts the records their own query listed.
+std::map<size_t, int> DeltaTopicsBySimilar(serve::QueryEngine& engine,
+                                           size_t base, int records,
+                                           int* own_listed) {
+  std::map<size_t, int> topics;
+  *own_listed = 0;
+  for (int i = 0; i < records; ++i) {
+    auto similar =
+        engine.SimilarRecipes(RecordToQuery(VariedRecord(i)), 100000);
+    EXPECT_TRUE(similar.ok()) << similar.status().ToString();
+    if (!similar.ok()) continue;
+    for (const serve::SimilarRecipe& hit : similar->recipes) {
+      if (hit.recipe_index < base) continue;
+      topics[hit.recipe_index] = similar->topic;
+      if (hit.recipe_index == base + static_cast<size_t>(i)) ++*own_listed;
+    }
+  }
+  return topics;
+}
+
+TEST(IngestServiceTest, SimilarOnARecordsContentListsThatRecord) {
+  // A streamed record and a query with its content draw the same eq.-5
+  // stream, so they land in the same topic: with the PREDICT cache on
+  // (half the queries asked before their record arrived) and off.
+  constexpr int kRecords = 200;
+  for (size_t cache : {size_t{4096}, size_t{0}}) {
+    SCOPED_TRACE("cache_capacity=" + std::to_string(cache));
+    std::string dir = FreshDir("svc_similar_own_" + std::to_string(cache));
+    serve::QueryEngineConfig engine_config = FastEngineConfig();
+    engine_config.cache_capacity = cache;
+    Stack stack = MakeStack(dir, FileOps::Real(), "", 77, engine_config);
+    ASSERT_TRUE(stack.service->Recover().ok());
+    for (int i = 0; i < kRecords; i += 2) {
+      ASSERT_TRUE(
+          stack.engine->PredictTexture(RecordToQuery(VariedRecord(i))).ok());
+    }
+    std::set<int> topics;
+    for (int i = 0; i < kRecords; ++i) {
+      auto acked = stack.service->Ingest(VariedRecord(i));
+      ASSERT_TRUE(acked.ok()) << acked.status().ToString();
+      ASSERT_FALSE(acked->deduped);
+      topics.insert(acked->topic);
+    }
+    EXPECT_EQ(topics, (std::set<int>{0, 1}));  // Both topics are exercised.
+    int own_listed = 0;
+    DeltaTopicsBySimilar(*stack.engine, stack.corpus.documents.size(),
+                         kRecords, &own_listed);
+    EXPECT_EQ(own_listed, kRecords);
+  }
+}
+
+TEST(IngestServiceTest, RecoverAndRefreshFoldInlineAtTheDefaultLinger) {
+  // Default engine config: the PREDICT batcher lingers 200 us per batch,
+  // which recovery and refresh must not pay once per record.
+  constexpr int kRecords = 300;
+  const serve::QueryEngineConfig defaults;
+  ASSERT_GT(defaults.batch_linger_micros, 0);
+  std::string dir = FreshDir("svc_default_linger");
+  {
+    Stack prefill = MakeStack(dir + "/a", FileOps::Real(), "", 77, defaults);
+    ASSERT_TRUE(prefill.service->Recover().ok());
+    for (int i = 0; i < kRecords; ++i) {
+      ASSERT_TRUE(prefill.service->Ingest(VariedRecord(i)).ok());
+    }
+  }
+  for (const char* copy : {"/b", "/c"}) {
+    fs::copy(dir + "/a", dir + copy, fs::copy_options::recursive);
+  }
+  auto counter = [](Stack& stack, const std::string& name) {
+    return stack.engine->TakeMetricsSnapshot().CounterValue(name);
+  };
+
+  Stack stack = MakeStack(dir + "/a", FileOps::Real(), "", 77, defaults);
+  ASSERT_TRUE(stack.service->Recover().ok());
+  EXPECT_EQ(counter(stack, "serve.batcher.submitted"), 0u);
+  EXPECT_EQ(counter(stack, "ingest.records.recovered"),
+            static_cast<uint64_t>(kRecords));
+  EXPECT_EQ(stack.engine->GetDeltaStats().delta_docs,
+            static_cast<uint64_t>(kRecords));
+
+  // Refresh re-folds every absorbed record; records streamed after it
+  // stay live and the next refresh re-folds both kinds.
+  ASSERT_TRUE(stack.service->Refresh().ok());
+  EXPECT_EQ(stack.service->absorbed_records(), static_cast<size_t>(kRecords));
+  EXPECT_EQ(stack.engine->GetDeltaStats().delta_docs,
+            static_cast<uint64_t>(kRecords));
+  for (int i = kRecords; i < kRecords + 20; ++i) {
+    ASSERT_TRUE(stack.service->Ingest(VariedRecord(i)).ok());
+  }
+  ASSERT_TRUE(stack.service->Refresh().ok());
+  EXPECT_EQ(stack.engine->GetDeltaStats().delta_docs,
+            static_cast<uint64_t>(kRecords + 20));
+  EXPECT_EQ(counter(stack, "serve.batcher.submitted"), 0u);
+  EXPECT_EQ(counter(stack, "ingest.records.fold_failed"), 0u);
+
+  // Two recoveries of the same WAL into fresh engines place every record
+  // identically, each in the topic a query with its content gets.
+  int own_b = 0;
+  int own_c = 0;
+  std::map<size_t, int> topics_b;
+  {
+    Stack b = MakeStack(dir + "/b", FileOps::Real(), "", 77, defaults);
+    ASSERT_TRUE(b.service->Recover().ok());
+    topics_b = DeltaTopicsBySimilar(*b.engine, b.corpus.documents.size(),
+                                    kRecords, &own_b);
+  }
+  Stack c = MakeStack(dir + "/c", FileOps::Real(), "", 77, defaults);
+  ASSERT_TRUE(c.service->Recover().ok());
+  std::map<size_t, int> topics_c =
+      DeltaTopicsBySimilar(*c.engine, c.corpus.documents.size(), kRecords,
+                           &own_c);
+  EXPECT_EQ(topics_b.size(), static_cast<size_t>(kRecords));
+  EXPECT_EQ(topics_b, topics_c);
+  EXPECT_EQ(own_b, kRecords);
+  EXPECT_EQ(own_c, kRecords);
 }
 
 TEST(IngestServiceTest, StaleVocabQueriesFailCleanUntilRefresh) {

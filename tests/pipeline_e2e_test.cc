@@ -105,8 +105,9 @@ std::string ReadFile(const std::string& path) {
 }
 
 /// The protocol commands replayed against each serving stack. Responses
-/// depend only on the model and the per-engine admission sequence, so two
-/// engines over identical models must answer identically.
+/// depend only on the model and the query (each fold-in draws from the RNG
+/// stream of its canonical query key), so two engines over identical models
+/// must answer identically.
 const std::vector<std::string>& GoldenCommands() {
   static const std::vector<std::string> kCommands = {
       "PING",

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -17,7 +18,9 @@
 #include "core/model_binary.h"
 #include "embed/embedding.h"
 #include "math/distributions.h"
+#include "obs/clock.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "recipe/dataset.h"
 #include "recipe/ingredient.h"
 #include "serve/snapshot.h"
@@ -567,8 +570,8 @@ TEST(QueryEngineTest, SimilarRecipesHonorsDeadline) {
 
 TEST(QueryEngineTest, ConcurrentBatchedFoldInsMatchSerialResults) {
   // Determinism across batch layouts: each query's RNG stream is keyed on
-  // its admission sequence, so with a fixed submission order the theta must
-  // not depend on how the dispatcher grouped the jobs.
+  // its canonical query key, so a query's theta must not depend on how the
+  // dispatcher grouped the jobs or in which order the threads raced in.
   QueryEngineConfig config = FastConfig();
   config.cache_capacity = 0;
   config.batch_linger_micros = 500;  // Encourage multi-job batches.
@@ -576,37 +579,132 @@ TEST(QueryEngineTest, ConcurrentBatchedFoldInsMatchSerialResults) {
   auto engine = QueryEngine::Create(config, TinySnapshot(), nullptr);
   ASSERT_TRUE(engine.ok());
 
-  // One fixed query, submitted 8 times: every submission draws a distinct
-  // sequence number (and therefore RNG stream), so the 8 thetas form a
-  // fixed multiset {f(stream 0), ..., f(stream 7)} however they were
-  // batched or raced.
-  TextureQuery query;
-  query.gel_concentration = math::Vector(3, 0.005);
-  query.texture_terms = {"katai", "purupuru"};
-  std::vector<std::vector<double>> serial(8);
-  for (int i = 0; i < 8; ++i) {
-    auto p = (*engine)->PredictTexture(query);
+  std::vector<TextureQuery> queries(8);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    queries[i].gel_concentration = math::Vector(3, 0.001 * (i + 1));
+    queries[i].texture_terms = {"katai", "purupuru"};
+  }
+  std::vector<std::vector<double>> serial(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    auto p = (*engine)->PredictTexture(queries[i]);
     ASSERT_TRUE(p.ok());
-    serial[static_cast<size_t>(i)] = p->theta;
+    serial[i] = p->theta;
   }
   auto engine2 = QueryEngine::Create(config, TinySnapshot(), nullptr);
   ASSERT_TRUE(engine2.ok());
-  std::vector<std::vector<double>> concurrent(8);
+  std::vector<std::vector<double>> concurrent(queries.size());
   std::vector<std::thread> threads;
-  for (int i = 0; i < 8; ++i) {
+  for (size_t i = 0; i < queries.size(); ++i) {
     threads.emplace_back([&, i] {
-      auto p = (*engine2)->PredictTexture(query);
-      if (p.ok()) concurrent[static_cast<size_t>(i)] = p->theta;
+      auto p = (*engine2)->PredictTexture(queries[i]);
+      if (p.ok()) concurrent[i] = p->theta;
     });
   }
   for (auto& t : threads) t.join();
-  // Sequence numbers were raced across threads, so compare as multisets.
-  auto sorted = [](std::vector<std::vector<double>> v) {
-    std::sort(v.begin(), v.end());
-    return v;
-  };
-  EXPECT_EQ(sorted(serial), sorted(concurrent));
+  EXPECT_EQ(serial, concurrent);
   EXPECT_GE((*engine2)->GetStats().batcher.max_batch_size, 1u);
+}
+
+TEST(QueryEngineTest, RecomputedMissEqualsTheHitItReplaces) {
+  // With the cache off every repeat is a fresh fold-in; it must reproduce
+  // the first answer exactly, term order included.
+  QueryEngineConfig config = FastConfig();
+  config.cache_capacity = 0;
+  auto engine = QueryEngine::Create(config, TinySnapshot(), nullptr);
+  ASSERT_TRUE(engine.ok());
+  TextureQuery query;
+  query.gel_concentration = math::Vector(3, 0.004);
+  query.texture_terms = {"purupuru", "katai", "katai"};
+  auto first = (*engine)->PredictTexture(query);
+  ASSERT_TRUE(first.ok());
+  query.texture_terms = {"katai", "purupuru", "katai"};
+  for (int i = 0; i < 3; ++i) {
+    auto again = (*engine)->PredictTexture(query);
+    ASSERT_TRUE(again.ok());
+    EXPECT_FALSE(again->from_cache);
+    EXPECT_EQ(again->theta, first->theta);
+  }
+}
+
+TEST(QueryEngineTest, DeltaFoldsRunInlineAndMatchPredict) {
+  // Streamed records never enter the batcher, and a record lands in the
+  // topic a PREDICT of its content reports.
+  QueryEngineConfig config = FastConfig();
+  config.batch_linger_micros = 200;
+  auto engine = QueryEngine::Create(config, TinySnapshot(), nullptr);
+  ASSERT_TRUE(engine.ok());
+  std::vector<TextureQuery> records(12);
+  std::vector<int> topics;
+  for (size_t i = 0; i < records.size(); ++i) {
+    records[i].gel_concentration = math::Vector(3, 0.001 * (i + 1));
+    records[i].texture_terms =
+        i % 2 == 0 ? std::vector<std::string>{"katai"}
+                   : std::vector<std::string>{"purupuru", "katai"};
+    auto topic = (*engine)->FoldInDelta(records[i], i + 1);
+    ASSERT_TRUE(topic.ok()) << "record " << i;
+    topics.push_back(*topic);
+  }
+  TextureQuery bad;
+  bad.gel_concentration = math::Vector(2, 0.01);  // Wrong dimension.
+  EXPECT_EQ((*engine)->FoldInDelta(bad, 99).status().code(),
+            StatusCode::kInvalidArgument);
+  DeltaStats delta = (*engine)->GetDeltaStats();
+  EXPECT_EQ(delta.delta_docs, records.size());
+  EXPECT_EQ(delta.folded, records.size());
+  EXPECT_EQ((*engine)->GetStats().batcher.submitted, 0u);
+
+  for (size_t i = 0; i < records.size(); ++i) {
+    auto predicted = (*engine)->PredictTexture(records[i]);
+    ASSERT_TRUE(predicted.ok());
+    EXPECT_EQ(predicted->topic, topics[i]) << "record " << i;
+  }
+
+  Deadline expired =
+      std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
+  auto late = (*engine)->FoldInDelta(records[0], 1, expired);
+  EXPECT_EQ(late.status().code(), StatusCode::kDeadlineExceeded);
+}
+
+/// Reads 0, and runs `hook` on its `fire_at`-th reading since `reads` was
+/// last reset: a seam for acting at a chosen span boundary.
+class HookClock : public obs::Clock {
+ public:
+  int64_t NowMicros() const override {
+    if (++reads == fire_at && hook) hook();
+    return 0;
+  }
+  std::function<void()> hook;
+  int fire_at = 0;
+  mutable int reads = 0;
+};
+
+TEST(QueryEngineTest, DeltaFoldOvertakenByReloadIsDropped) {
+  // A Reload that lands after a record's fold but before its append clears
+  // the delta the record was placed for, so the record must not outlive it.
+  HookClock clock;
+  obs::Tracer tracer(&clock);
+  QueryEngineConfig config = FastConfig();
+  config.tracer = &tracer;
+  auto engine = QueryEngine::Create(config, TinySnapshot(), nullptr);
+  ASSERT_TRUE(engine.ok());
+  TextureQuery query = HardQuery();
+
+  // FoldInDelta's delta_fold span reads the clock when it starts and when
+  // it ends; it ends after the fold and before the append.
+  clock.reads = 0;
+  clock.fire_at = 2;
+  clock.hook = [&] { EXPECT_TRUE((*engine)->Reload(TinySnapshot()).ok()); };
+  auto overtaken = (*engine)->FoldInDelta(query, 1);
+  EXPECT_EQ(overtaken.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ((*engine)->GetStats().reloads, 1u);
+  DeltaStats delta = (*engine)->GetDeltaStats();
+  EXPECT_EQ(delta.delta_docs, 0u);
+  EXPECT_EQ(delta.folded, 0u);
+
+  clock.hook = nullptr;
+  auto next = (*engine)->FoldInDelta(query, 2);
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ((*engine)->GetDeltaStats().delta_docs, 1u);
 }
 
 TEST(QueryEngineTest, MixedQueryTypesRaceSafely) {

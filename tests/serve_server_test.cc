@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <memory>
@@ -244,6 +246,80 @@ class RawPeer {
   bool stop_ = false;  // Guarded by mu_.
   std::thread thread_;
 };
+
+/// Pass-through SocketOps that remembers the fds Accept returned and the
+/// fds Send wrote to, so a test can inspect their socket options.
+class FdRecordingSocketOps : public SocketOps {
+ public:
+  int Accept(int listen_fd) override {
+    int fd = SocketOps::Real().Accept(listen_fd);
+    if (fd >= 0) Remember(&accepted_, fd);
+    return fd;
+  }
+  ssize_t Send(int fd, const void* buf, size_t len) override {
+    Remember(&sent_, fd);
+    return SocketOps::Real().Send(fd, buf, len);
+  }
+  std::vector<int> accepted() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return accepted_;
+  }
+  std::vector<int> sent() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return sent_;
+  }
+
+ private:
+  void Remember(std::vector<int>* fds, int fd) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (std::find(fds->begin(), fds->end(), fd) == fds->end()) {
+      fds->push_back(fd);
+    }
+  }
+  std::mutex mu_;
+  std::vector<int> accepted_;  // Guarded by mu_.
+  std::vector<int> sent_;      // Guarded by mu_.
+};
+
+int NoDelayOf(int fd) {
+  int value = -1;
+  socklen_t len = sizeof(value);
+  if (::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len) != 0) {
+    return -1;
+  }
+  return value;
+}
+
+TEST_F(ServerTest, BothEndsOfAConnectionDisableNagle) {
+  // One small response per request: with Nagle on, a response written
+  // while the previous one is unacknowledged waits for the peer's delayed
+  // ACK. Server-accepted and client-connected sockets must both opt out.
+  FdRecordingSocketOps server_ops;
+  ServerOptions options;
+  options.socket_ops = &server_ops;
+  LineProtocolServer server(engine_.get(), options);
+  ASSERT_TRUE(server.Start().ok());
+  FdRecordingSocketOps client_ops;
+  LineClientOptions client_options;
+  client_options.socket_ops = &client_ops;
+  auto client =
+      LineClient::Connect("127.0.0.1", server.port(), client_options);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  for (int i = 0; i < 3; ++i) {
+    auto reply = (*client)->RoundTrip("PING");
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  }
+
+  const std::vector<int> accepted = server_ops.accepted();
+  ASSERT_EQ(accepted.size(), 1u);
+  EXPECT_EQ(server_ops.sent(), accepted);  // Responses go out on it.
+  EXPECT_EQ(NoDelayOf(accepted.front()), 1);
+  const std::vector<int> client_fds = client_ops.sent();
+  ASSERT_EQ(client_fds.size(), 1u);
+  EXPECT_EQ(NoDelayOf(client_fds.front()), 1);
+  (*client)->Close();
+  server.Stop();
+}
 
 TEST(LineClientContractTest, ConnectRefusedIsUnavailable) {
   // Grab an ephemeral port, then close it so the connect is refused.
