@@ -38,6 +38,8 @@
 #include "rheology/rheometer.h"
 #include "text/tokenizer.h"
 #include "text/word2vec.h"
+#include "util/crc32.h"
+#include "util/csv.h"
 #include "util/rng.h"
 
 namespace texrheo {
@@ -543,30 +545,6 @@ void BM_AprioriMine(benchmark::State& state) {
 BENCHMARK(BM_AprioriMine)->Arg(2000)->Arg(8000)
     ->Unit(benchmark::kMillisecond);
 
-void BM_ModelSerialization(benchmark::State& state) {
-  corpus::CorpusGenConfig config;
-  config.num_recipes = 4000;
-  corpus::CorpusGenerator generator(
-      config, &rheology::GelPhysicsModel::Calibrated(),
-      &text::TextureDictionary::Embedded());
-  auto recipes = generator.Generate();
-  auto dataset = recipe::BuildDataset(
-      recipes, recipe::IngredientDatabase::Embedded(),
-      text::TextureDictionary::Embedded(), nullptr, recipe::DatasetConfig());
-  core::JointTopicModelConfig model_config;
-  model_config.sweeps = 30;
-  auto model = core::JointTopicModel::Create(model_config, &dataset.value());
-  (void)model->Train();
-  core::ModelSnapshot snapshot =
-      core::MakeSnapshot(model->Estimate(), dataset->term_vocab);
-  for (auto _ : state) {
-    std::string serialized = core::SerializeModel(snapshot);
-    auto restored = core::DeserializeModel(serialized);
-    benchmark::DoNotOptimize(restored);
-  }
-}
-BENCHMARK(BM_ModelSerialization)->Unit(benchmark::kMillisecond);
-
 // Checkpoint durability cost: one full save (encode + atomic write-temp +
 // fsync + rename) plus a load-and-restore of the same snapshot, on a
 // trained mid-size model. "ckpt_bytes" reports the on-disk frame size so
@@ -614,25 +592,21 @@ BENCHMARK(BM_CheckpointSaveRestore)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
-// --- Snapshot load: v2 text parse vs mmap (BM_SnapshotLoad*) -----------
+// --- Snapshot load from a pack (BM_SnapshotLoad*, BM_ModelDatCrcPass) ---
 //
-// ci.sh --bench filters on 'BM_SnapshotLoad' and writes the JSON to
-// bench/out/model_load.json, then gates on the warm-mmap speedup: loading
-// the packed .dat/.idx pair must be >= 20x faster than parsing the v2
-// text file (compare "real_time" across the two entries). The mmap path
-// still pays the per-section CRC pass and the summary build; what it
-// never pays is text-to-double parsing or a per-load heap copy of phi.
+// ci.sh --bench filters on 'BM_(SnapshotLoad|ModelDatCrcPass)' and writes
+// the JSON to bench/out/model_load.json, then gates on the warm load: a
+// warm mmap load of the pack must cost at most 5x one CRC-32 pass over its
+// .dat (compare "real_time" across the two entries). A load pays the
+// per-section CRC pass, the Gaussian materialization and the summary
+// build; what it never pays is a parse or a per-load heap copy of phi,
+// either of which would cost several CRC passes on its own.
 
-struct SnapshotLoadFiles {
-  std::string v2;   ///< v2 text model file.
-  std::string idx;  ///< Index of the packed binary pair.
-};
-
-/// Persists a deterministic production-shaped model (20 topics over a
+/// Packs a deterministic production-shaped model (20 topics over a
 /// 6000-word vocabulary — recipe-site scale, far beyond the toy corpora
-/// above) in both formats, once.
-const SnapshotLoadFiles& SharedModelFiles() {
-  static auto& files = *new SnapshotLoadFiles([] {
+/// above) once and returns the `.idx` path (empty on failure).
+const std::string& SharedModelPack() {
+  static auto& idx = *new std::string([] {
     constexpr int kTopics = 20;
     constexpr size_t kVocab = 6000;
     Rng rng(20260808);
@@ -661,45 +635,40 @@ const SnapshotLoadFiles& SharedModelFiles() {
               .value());
       snap.estimates.topic_recipe_count.push_back(50 + k);
     }
-    SnapshotLoadFiles f;
-    f.v2 = "/tmp/texrheo_bench_model_load.txt";
     std::string base = "/tmp/texrheo_bench_model_load_bin";
-    if (!core::SaveModel(f.v2, snap).ok() ||
-        !core::WriteModelBinary(snap, base).ok()) {
-      return SnapshotLoadFiles();
-    }
-    f.idx = base + ".idx";
-    return f;
+    if (!core::WriteModelBinary(snap, base).ok()) return std::string();
+    return base + ".idx";
   }());
-  return files;
+  return idx;
 }
 
-void BM_SnapshotLoadV2Parse(benchmark::State& state) {
-  const SnapshotLoadFiles& files = SharedModelFiles();
-  if (files.v2.empty()) {
-    state.SkipWithError("model files unavailable");
+void BM_ModelDatCrcPass(benchmark::State& state) {
+  const std::string& idx = SharedModelPack();
+  if (idx.empty()) {
+    state.SkipWithError("model pack unavailable");
+    return;
+  }
+  auto dat = ReadFileToString(core::ModelBinaryPathsFor(idx).dat);
+  if (!dat.ok()) {
+    state.SkipWithError("model pack unavailable");
     return;
   }
   for (auto _ : state) {
-    auto snapshot = serve::ServingSnapshot::FromModelFile(files.v2);
-    if (!snapshot.ok()) {
-      state.SkipWithError("v2 load failed");
-      return;
-    }
-    benchmark::DoNotOptimize(snapshot);
+    benchmark::DoNotOptimize(Crc32(*dat));
   }
+  state.counters["dat_bytes"] = static_cast<double>(dat->size());
 }
-BENCHMARK(BM_SnapshotLoadV2Parse)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ModelDatCrcPass)->Unit(benchmark::kMillisecond);
 
 void BM_SnapshotLoadMmapWarm(benchmark::State& state) {
-  const SnapshotLoadFiles& files = SharedModelFiles();
-  if (files.idx.empty()) {
-    state.SkipWithError("model files unavailable");
+  const std::string& idx = SharedModelPack();
+  if (idx.empty()) {
+    state.SkipWithError("model pack unavailable");
     return;
   }
   {
     // Prime the page cache so every timed iteration is a warm load.
-    auto warmup = serve::ServingSnapshot::FromBinaryFile(files.idx);
+    auto warmup = serve::ServingSnapshot::FromFile(idx);
     if (!warmup.ok()) {
       state.SkipWithError("mmap load failed");
       return;
@@ -708,7 +677,7 @@ void BM_SnapshotLoadMmapWarm(benchmark::State& state) {
         static_cast<double>((*warmup)->mapped_bytes());
   }
   for (auto _ : state) {
-    auto snapshot = serve::ServingSnapshot::FromBinaryFile(files.idx);
+    auto snapshot = serve::ServingSnapshot::FromFile(idx);
     if (!snapshot.ok()) {
       state.SkipWithError("mmap load failed");
       return;
@@ -722,13 +691,13 @@ void BM_SnapshotLoadMmapCold(benchmark::State& state) {
   // Best-effort cold-cache load: ask the kernel to drop the .dat pages
   // before each iteration. POSIX_FADV_DONTNEED is advisory, so this is an
   // upper bound on warmth rather than a guaranteed cold read; the gate in
-  // ci.sh therefore compares the *warm* number against the v2 parse.
-  const SnapshotLoadFiles& files = SharedModelFiles();
-  if (files.idx.empty()) {
-    state.SkipWithError("model files unavailable");
+  // ci.sh therefore uses the *warm* number.
+  const std::string& idx = SharedModelPack();
+  if (idx.empty()) {
+    state.SkipWithError("model pack unavailable");
     return;
   }
-  std::string dat = files.idx.substr(0, files.idx.size() - 4) + ".dat";
+  std::string dat = core::ModelBinaryPathsFor(idx).dat;
   for (auto _ : state) {
     state.PauseTiming();
     int fd = open(dat.c_str(), O_RDONLY);
@@ -737,7 +706,7 @@ void BM_SnapshotLoadMmapCold(benchmark::State& state) {
       close(fd);
     }
     state.ResumeTiming();
-    auto snapshot = serve::ServingSnapshot::FromBinaryFile(files.idx);
+    auto snapshot = serve::ServingSnapshot::FromFile(idx);
     if (!snapshot.ok()) {
       state.SkipWithError("mmap load failed");
       return;

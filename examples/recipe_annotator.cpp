@@ -13,13 +13,16 @@
 // or annotate your own (name=quantity pairs), e.g.
 //   --ingredients "gelatin=8 g;milk=300 cc;sugar=2 tbsp;water=150 cc"
 // Train once and reuse the model:
-//   ./build/examples/recipe_annotator --save model.txt
-//   ./build/examples/recipe_annotator --load model.txt --ingredients ...
+//   ./build/examples/recipe_annotator --save model
+//   ./build/examples/recipe_annotator --load model.idx --ingredients ...
+// (--save writes the packed pair model.dat + model.idx; --load takes the
+// .idx, the .dat, or the bare base path.)
 
 #include <algorithm>
 #include <cstdio>
 
 #include "core/joint_topic_model.h"
+#include "core/model_binary.h"
 #include "core/serialization.h"
 #include "eval/experiment.h"
 #include "recipe/features.h"
@@ -92,7 +95,7 @@ int main(int argc, char** argv) {
   core::ModelSnapshot snapshot;
   std::string load_path = flags.GetString("load", "");
   if (!load_path.empty()) {
-    auto loaded = core::LoadModel(load_path);
+    auto loaded = core::ReadModelBinary(load_path);
     if (!loaded.ok()) {
       std::fprintf(stderr, "load failed: %s\n",
                    loaded.status().ToString().c_str());
@@ -115,7 +118,7 @@ int main(int argc, char** argv) {
         core::MakeSnapshot(result->estimates, result->dataset.term_vocab);
     std::string save_path = flags.GetString("save", "");
     if (!save_path.empty()) {
-      Status saved = core::SaveModel(save_path, snapshot);
+      Status saved = core::WriteModelBinary(snapshot, save_path);
       std::printf("%s\n", saved.ok()
                                ? ("saved model to " + save_path).c_str()
                                : saved.ToString().c_str());

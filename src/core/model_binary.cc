@@ -329,157 +329,204 @@ Status ValidateModelBinaryIndex(const ModelBinaryIndex& index) {
   return Status::OK();
 }
 
-Status WriteModelBinary(const ModelSnapshot& snapshot,
-                        const std::string& base_or_idx, FileOps& ops,
-                        const embed::EmbeddingTable* embeddings) {
-  // Canonicalize through the v2 text round-trip: the packed doubles are
-  // exactly what LoadModel of the v2 file would produce, so a binary model
-  // and its v2 twin serve bit-identical answers, and the fingerprint below
-  // is the one the v2 load path computes.
-  std::string canonical = SerializeModel(snapshot);
-  uint32_t fingerprint = Crc32(canonical);
-  StatusOr<ModelSnapshot> canon = DeserializeModel(canonical);
-  if (!canon.ok()) {
-    return Status::InvalidArgument(
-        "model binary: snapshot failed canonical v2 round-trip: " +
-        canon.status().message());
+uint32_t ModelFingerprint(const ModelBinaryIndex& index) {
+  std::string bytes;
+  Put<uint32_t>(bytes, index.num_topics);
+  Put<uint64_t>(bytes, index.vocab_size);
+  Put<uint32_t>(bytes, index.gel_dim);
+  Put<uint32_t>(bytes, index.emulsion_dim);
+  for (size_t i = 0; i < kModelSectionCount && i < index.sections.size();
+       ++i) {
+    const ModelSectionEntry& entry = index.sections[i];
+    Put<uint32_t>(bytes, entry.id);
+    Put<uint64_t>(bytes, entry.count);
+    Put<uint32_t>(bytes, entry.crc32);
   }
-  const ModelSnapshot& model = *canon;
-  const TopicEstimates& est = model.estimates;
-  size_t k_count = est.phi.size();
-  size_t v_count = model.vocab.size();
+  return Crc32(bytes);
+}
+
+StatusOr<ModelImage> EncodeModelImage(const ModelSnapshot& snapshot,
+                                      const embed::EmbeddingTable* embeddings) {
+  const TopicEstimates& est = snapshot.estimates;
+  const size_t k_count = est.phi.size();
+  const size_t v_count = snapshot.vocab.size();
   if (k_count == 0) {
     return Status::InvalidArgument("model binary: model has no topics");
   }
-  size_t gel_dim = est.gel_topics.front().dim();
-  size_t emulsion_dim = est.emulsion_topics.front().dim();
+  if (est.gel_topics.size() != k_count ||
+      est.emulsion_topics.size() != k_count) {
+    return Status::InvalidArgument(
+        "model binary: per-topic gaussian count disagrees with phi");
+  }
+  if (!est.topic_recipe_count.empty() &&
+      est.topic_recipe_count.size() != k_count) {
+    return Status::InvalidArgument(
+        "model binary: topic_recipe_count size disagrees with phi");
+  }
+  const size_t gel_dim = est.gel_topics.front().dim();
+  const size_t emulsion_dim = est.emulsion_topics.front().dim();
   if (gel_dim == 0 || emulsion_dim == 0 || gel_dim > kMaxDim ||
       emulsion_dim > kMaxDim) {
     return Status::InvalidArgument(
         "model binary: gaussian dimension out of range");
   }
   for (size_t k = 0; k < k_count; ++k) {
+    if (est.phi[k].size() != v_count) {
+      return Status::InvalidArgument(
+          "model binary: phi row width disagrees with vocabulary");
+    }
     if (est.gel_topics[k].dim() != gel_dim ||
         est.emulsion_topics[k].dim() != emulsion_dim) {
       return Status::InvalidArgument(
           "model binary: per-topic gaussian dimensions are not uniform");
     }
   }
-
-  // Flatten every section into its SoA buffer.
-  std::vector<double> phi;
-  phi.reserve(k_count * v_count);
-  for (const auto& row : est.phi) phi.insert(phi.end(), row.begin(), row.end());
-  std::vector<double> gel_means, gel_precs, emu_means, emu_precs;
-  gel_means.reserve(k_count * gel_dim);
-  gel_precs.reserve(k_count * gel_dim * gel_dim);
-  emu_means.reserve(k_count * emulsion_dim);
-  emu_precs.reserve(k_count * emulsion_dim * emulsion_dim);
-  auto flatten = [](const math::Gaussian& g, std::vector<double>& means,
-                    std::vector<double>& precs) {
-    for (size_t i = 0; i < g.dim(); ++i) means.push_back(g.mean()[i]);
-    for (size_t r = 0; r < g.dim(); ++r) {
-      for (size_t c = 0; c < g.dim(); ++c) {
-        precs.push_back(g.precision()(r, c));
-      }
-    }
-  };
-  for (size_t k = 0; k < k_count; ++k) {
-    flatten(est.gel_topics[k], gel_means, gel_precs);
-    flatten(est.emulsion_topics[k], emu_means, emu_precs);
-  }
-  std::vector<int64_t> recipe_counts(k_count, 0);
-  for (size_t k = 0; k < est.topic_recipe_count.size() && k < k_count; ++k) {
-    recipe_counts[k] = est.topic_recipe_count[k];
-  }
-  std::string pool;
-  std::vector<uint64_t> offsets;
-  std::vector<int64_t> word_counts;
-  offsets.reserve(v_count + 1);
-  word_counts.reserve(v_count);
-  for (size_t v = 0; v < v_count; ++v) {
-    const std::string& word = model.vocab.WordOf(static_cast<int32_t>(v));
-    if (word.empty() || word.size() > kMaxWordBytes) {
-      return Status::InvalidArgument(
-          "model binary: vocabulary word length out of range");
-    }
-    offsets.push_back(pool.size());
-    pool += word;
-    word_counts.push_back(model.vocab.CountOf(static_cast<int32_t>(v)));
-  }
-  offsets.push_back(pool.size());
-
-  // Assemble the .dat image and the section table in one pass.
-  ModelBinaryIndex index;
-  index.num_topics = static_cast<uint32_t>(k_count);
-  index.vocab_size = v_count;
-  index.gel_dim = static_cast<uint32_t>(gel_dim);
-  index.emulsion_dim = static_cast<uint32_t>(emulsion_dim);
-  index.fingerprint = fingerprint;
-  std::string dat;
-  dat.append(kDatMagic, sizeof(kDatMagic));
-  auto add_section = [&dat, &index](ModelSection id, const void* data,
-                                    size_t bytes, uint64_t count) {
-    dat.resize((dat.size() + kSectionAlignment - 1) / kSectionAlignment *
-               kSectionAlignment);
-    ModelSectionEntry entry;
-    entry.id = static_cast<uint32_t>(id);
-    entry.offset = dat.size();
-    entry.size = bytes;
-    entry.count = count;
-    entry.crc32 = Crc32(data, bytes);
-    dat.append(static_cast<const char*>(data), bytes);
-    index.sections.push_back(entry);
-  };
-  auto add_doubles = [&add_section](ModelSection id,
-                                    const std::vector<double>& values) {
-    add_section(id, values.data(), values.size() * sizeof(double),
-                values.size());
-  };
-  add_doubles(ModelSection::kPhi, phi);
-  add_doubles(ModelSection::kGelMean, gel_means);
-  add_doubles(ModelSection::kGelPrecision, gel_precs);
-  add_doubles(ModelSection::kEmulsionMean, emu_means);
-  add_doubles(ModelSection::kEmulsionPrecision, emu_precs);
-  add_section(ModelSection::kRecipeCount, recipe_counts.data(),
-              recipe_counts.size() * sizeof(int64_t), recipe_counts.size());
-  add_section(ModelSection::kVocabOffsets, offsets.data(),
-              offsets.size() * sizeof(uint64_t), offsets.size());
-  add_section(ModelSection::kVocabCounts, word_counts.data(),
-              word_counts.size() * sizeof(int64_t), word_counts.size());
-  add_section(ModelSection::kVocabPool, pool.data(), pool.size(),
-              pool.size());
-  if (embeddings != nullptr && !embeddings->empty()) {
+  if (embeddings != nullptr) {
     TEXRHEO_RETURN_IF_ERROR(embed::ValidateEmbeddingTable(*embeddings));
+  }
+  const bool with_embeddings = embeddings != nullptr && !embeddings->empty();
+  if (with_embeddings) {
     if (embeddings->vocab_size() != v_count) {
       return Status::InvalidArgument(
           "model binary: embedding table covers " +
           std::to_string(embeddings->vocab_size()) +
           " words, model vocabulary has " + std::to_string(v_count));
     }
-    add_section(ModelSection::kEmbedding, embeddings->vectors.data(),
-                embeddings->vectors.size() * sizeof(float),
-                embeddings->vectors.size());
-    add_section(ModelSection::kEmbeddingNorms, embeddings->norms.data(),
-                embeddings->norms.size() * sizeof(float),
-                embeddings->norms.size());
   }
-  index.data_file_size = dat.size();
+  uint64_t pool_bytes = 0;
+  for (size_t v = 0; v < v_count; ++v) {
+    const std::string& word = snapshot.vocab.WordOf(static_cast<int32_t>(v));
+    if (word.empty() || word.size() > kMaxWordBytes) {
+      return Status::InvalidArgument(
+          "model binary: vocabulary word length out of range");
+    }
+    for (char c : word) {
+      if (static_cast<unsigned char>(c) <= 0x20) {
+        return Status::InvalidArgument(
+            "model binary: vocabulary word contains whitespace or control "
+            "bytes");
+      }
+    }
+    pool_bytes += word.size();
+  }
 
-  // .dat first, .idx last: both renames are atomic, so a crash anywhere in
-  // between leaves either the previous pair or a fresh .dat that no valid
-  // index references yet. A readable .idx therefore implies a fully
-  // written .dat.
-  ModelBinaryPaths paths = ModelBinaryPathsFor(base_or_idx);
-  TEXRHEO_RETURN_IF_ERROR(AtomicWriteFile(paths.dat, dat, ops));
-  return AtomicWriteFile(paths.idx, EncodeModelBinaryIndex(index), ops);
+  // Lay out the section table, then fill a zeroed, 64-byte-aligned image.
+  ModelImage image;
+  ModelBinaryIndex& index = image.index;
+  index.num_topics = static_cast<uint32_t>(k_count);
+  index.vocab_size = v_count;
+  index.gel_dim = static_cast<uint32_t>(gel_dim);
+  index.emulsion_dim = static_cast<uint32_t>(emulsion_dim);
+  uint64_t end = kDatHeaderBytes;
+  auto plan = [&index, &end](ModelSection id, uint64_t count) {
+    ModelSectionEntry entry;
+    entry.id = static_cast<uint32_t>(id);
+    entry.offset =
+        (end + kSectionAlignment - 1) / kSectionAlignment * kSectionAlignment;
+    entry.count = count;
+    entry.size = count * kSectionSpecs[entry.id - 1].elem_bytes;
+    end = entry.offset + entry.size;
+    index.sections.push_back(entry);
+  };
+  plan(ModelSection::kPhi, k_count * v_count);
+  plan(ModelSection::kGelMean, k_count * gel_dim);
+  plan(ModelSection::kGelPrecision, k_count * gel_dim * gel_dim);
+  plan(ModelSection::kEmulsionMean, k_count * emulsion_dim);
+  plan(ModelSection::kEmulsionPrecision,
+       k_count * emulsion_dim * emulsion_dim);
+  plan(ModelSection::kRecipeCount, k_count);
+  plan(ModelSection::kVocabOffsets, v_count + 1);
+  plan(ModelSection::kVocabCounts, v_count);
+  plan(ModelSection::kVocabPool, pool_bytes);
+  if (with_embeddings) {
+    plan(ModelSection::kEmbedding, embeddings->vectors.size());
+    plan(ModelSection::kEmbeddingNorms, embeddings->norms.size());
+  }
+  index.data_file_size = end;
+  image.blocks.resize((end + kSectionAlignment - 1) / kSectionAlignment);
+  uint8_t* dat = reinterpret_cast<uint8_t*>(image.blocks.data());
+  std::memcpy(dat, kDatMagic, sizeof(kDatMagic));
+  // Values are copied in (never stored through a cast pointer), which
+  // creates the objects the typed section views later read.
+  auto section = [&index, dat](size_t slot) {
+    return dat + index.sections[slot].offset;
+  };
+  auto put = [](uint8_t*& at, const void* value, size_t bytes) {
+    std::memcpy(at, value, bytes);
+    at += bytes;
+  };
+  uint8_t* phi = section(0);
+  for (const std::vector<double>& row : est.phi) {
+    put(phi, row.data(), v_count * sizeof(double));
+  }
+  auto flatten = [&put](const math::Gaussian& g, uint8_t*& mean,
+                        uint8_t*& prec) {
+    for (size_t i = 0; i < g.dim(); ++i) {
+      const double value = g.mean()[i];
+      put(mean, &value, sizeof(double));
+    }
+    for (size_t r = 0; r < g.dim(); ++r) {
+      for (size_t c = 0; c < g.dim(); ++c) {
+        const double value = g.precision()(r, c);
+        put(prec, &value, sizeof(double));
+      }
+    }
+  };
+  uint8_t* gel_mean = section(1);
+  uint8_t* gel_prec = section(2);
+  uint8_t* emu_mean = section(3);
+  uint8_t* emu_prec = section(4);
+  for (size_t k = 0; k < k_count; ++k) {
+    flatten(est.gel_topics[k], gel_mean, gel_prec);
+    flatten(est.emulsion_topics[k], emu_mean, emu_prec);
+  }
+  uint8_t* recipe_counts = section(5);
+  for (int count : est.topic_recipe_count) {
+    const int64_t wide = count;
+    put(recipe_counts, &wide, sizeof(wide));
+  }
+  uint8_t* offsets = section(6);
+  uint8_t* word_counts = section(7);
+  uint8_t* pool = section(8);
+  uint64_t fence = 0;
+  for (size_t v = 0; v < v_count; ++v) {
+    const std::string& word = snapshot.vocab.WordOf(static_cast<int32_t>(v));
+    const int64_t count = snapshot.vocab.CountOf(static_cast<int32_t>(v));
+    put(offsets, &fence, sizeof(fence));
+    put(word_counts, &count, sizeof(count));
+    put(pool, word.data(), word.size());
+    fence += word.size();
+  }
+  put(offsets, &fence, sizeof(fence));
+  if (with_embeddings) {
+    uint8_t* matrix = section(9);
+    uint8_t* norms = section(10);
+    put(matrix, embeddings->vectors.data(),
+        embeddings->vectors.size() * sizeof(float));
+    put(norms, embeddings->norms.data(),
+        embeddings->norms.size() * sizeof(float));
+  }
+
+  for (ModelSectionEntry& entry : index.sections) {
+    entry.crc32 = Crc32(dat + entry.offset, entry.size);
+  }
+  index.fingerprint = ModelFingerprint(index);
+  TEXRHEO_RETURN_IF_ERROR(ValidateModelBinaryIndex(index));
+  return image;
 }
 
-Status ConvertModelFileToBinary(const std::string& v2_path,
-                                const std::string& base_or_idx, FileOps& ops,
-                                const embed::EmbeddingTable* embeddings) {
-  TEXRHEO_ASSIGN_OR_RETURN(ModelSnapshot model, LoadModel(v2_path));
-  return WriteModelBinary(model, base_or_idx, ops, embeddings);
+Status WriteModelBinary(const ModelSnapshot& snapshot,
+                        const std::string& base_or_idx, FileOps& ops,
+                        const embed::EmbeddingTable* embeddings) {
+  TEXRHEO_ASSIGN_OR_RETURN(ModelImage image,
+                           EncodeModelImage(snapshot, embeddings));
+  // .dat first, .idx last, each by atomic rename: a failure before the
+  // first rename leaves the previous pair intact, and a readable .idx never
+  // points at a half-written .dat. (A crash between the renames pairs the
+  // old .idx with the new .dat, which fails its section CRCs.)
+  ModelBinaryPaths paths = ModelBinaryPathsFor(base_or_idx);
+  TEXRHEO_RETURN_IF_ERROR(AtomicWriteFile(paths.dat, image.dat(), ops));
+  return AtomicWriteFile(paths.idx, EncodeModelBinaryIndex(image.index), ops);
 }
 
 StatusOr<MappedRegion> MemoryMapOps::Map(const std::string& path) {
@@ -523,11 +570,13 @@ MemoryMapOps& MemoryMapOps::Real() {
 }
 
 MappedModel::MappedModel(ModelBinaryPaths paths, ModelBinaryIndex index,
-                         MappedRegion region, MemoryMapOps* ops)
+                         MappedRegion region, MemoryMapOps* ops,
+                         std::vector<ModelImageBlock> owned)
     : paths_(std::move(paths)),
       index_(std::move(index)),
       region_(region),
-      ops_(ops) {
+      ops_(ops),
+      owned_(std::move(owned)) {
   auto base = [this](size_t slot) {
     return region_.data + index_.sections[slot].offset;
   };
@@ -548,25 +597,21 @@ MappedModel::MappedModel(ModelBinaryPaths paths, ModelBinaryIndex index,
   }
 }
 
-MappedModel::~MappedModel() { ops_->Unmap(region_); }
+MappedModel::~MappedModel() {
+  if (ops_ != nullptr) ops_->Unmap(region_);
+}
 
-StatusOr<std::shared_ptr<const MappedModel>> MappedModel::Open(
-    const std::string& base_or_idx, MemoryMapOps& ops) {
-  ModelBinaryPaths paths = ModelBinaryPathsFor(base_or_idx);
-  TEXRHEO_ASSIGN_OR_RETURN(std::string idx_bytes,
-                           ReadFileToString(paths.idx));
-  TEXRHEO_ASSIGN_OR_RETURN(ModelBinaryIndex index,
-                           ParseModelBinaryIndex(idx_bytes));
-  TEXRHEO_RETURN_IF_ERROR(ValidateModelBinaryIndex(index));
+namespace {
 
-  TEXRHEO_ASSIGN_OR_RETURN(MappedRegion raw, ops.Map(paths.dat));
-  ScopedRegion region(raw, &ops);
-  const uint8_t* data = region.region().data;
-  if (region.region().size != index.data_file_size) {
+/// Content validation shared by both MappedModel factories, over an index
+/// that already passed ValidateModelBinaryIndex.
+Status VerifyImage(const ModelBinaryIndex& index, MappedRegion region) {
+  const uint8_t* data = region.data;
+  if (region.size != index.data_file_size) {
     return Status::InvalidArgument(
-        "model binary: data file is " +
-        std::to_string(region.region().size) + " bytes, index expects " +
-        std::to_string(index.data_file_size) + " (truncated or swapped?)");
+        "model binary: data file is " + std::to_string(region.size) +
+        " bytes, index expects " + std::to_string(index.data_file_size) +
+        " (truncated or swapped?)");
   }
   if (std::memcmp(data, kDatMagic, sizeof(kDatMagic)) != 0) {
     return Status::InvalidArgument(
@@ -583,8 +628,8 @@ StatusOr<std::shared_ptr<const MappedModel>> MappedModel::Open(
     }
   }
   // Vocabulary pool structure: offsets must be a monotone fence over the
-  // pool with sane word lengths and v2-compatible word bytes, or string
-  // accessors could read out of bounds / serve garbage.
+  // pool with sane word lengths and no whitespace or control bytes, or
+  // string accessors could read out of bounds / serve garbage.
   {
     size_t v_count = static_cast<size_t>(index.vocab_size);
     const ModelSectionEntry& offsets_entry = index.sections[6];
@@ -643,20 +688,75 @@ StatusOr<std::shared_ptr<const MappedModel>> MappedModel::Open(
       }
     }
   }
-  return std::shared_ptr<const MappedModel>(
-      new MappedModel(std::move(paths), std::move(index), region.Release(),
-                      &ops));
+  return Status::OK();
 }
 
-embed::EmbeddingTable CopyEmbeddingTable(const MappedModel& mapped) {
-  embed::EmbeddingTable table;
-  if (!mapped.has_embeddings()) return table;
-  table.dim = static_cast<uint32_t>(mapped.embedding_dim());
-  std::span<const float> matrix = mapped.embedding_matrix();
-  std::span<const float> norms = mapped.embedding_norms();
-  table.vectors.assign(matrix.begin(), matrix.end());
-  table.norms.assign(norms.begin(), norms.end());
-  return table;
+}  // namespace
+
+StatusOr<std::shared_ptr<const MappedModel>> MappedModel::Open(
+    const std::string& base_or_idx, MemoryMapOps& ops) {
+  ModelBinaryPaths paths = ModelBinaryPathsFor(base_or_idx);
+  TEXRHEO_ASSIGN_OR_RETURN(std::string idx_bytes,
+                           ReadFileToString(paths.idx));
+  TEXRHEO_ASSIGN_OR_RETURN(ModelBinaryIndex index,
+                           ParseModelBinaryIndex(idx_bytes));
+  TEXRHEO_RETURN_IF_ERROR(ValidateModelBinaryIndex(index));
+  TEXRHEO_ASSIGN_OR_RETURN(MappedRegion raw, ops.Map(paths.dat));
+  ScopedRegion region(raw, &ops);
+  TEXRHEO_RETURN_IF_ERROR(VerifyImage(index, region.region()));
+  return std::shared_ptr<const MappedModel>(
+      new MappedModel(std::move(paths), std::move(index), region.Release(),
+                      &ops, {}));
+}
+
+StatusOr<std::shared_ptr<const MappedModel>> MappedModel::FromImage(
+    ModelImage image) {
+  TEXRHEO_RETURN_IF_ERROR(ValidateModelBinaryIndex(image.index));
+  const size_t capacity = image.blocks.size() * sizeof(ModelImageBlock);
+  MappedRegion region{image.data(),
+                      std::min<size_t>(capacity, image.index.data_file_size)};
+  TEXRHEO_RETURN_IF_ERROR(VerifyImage(image.index, region));
+  return std::shared_ptr<const MappedModel>(
+      new MappedModel({}, std::move(image.index), region, nullptr,
+                      std::move(image.blocks)));
+}
+
+StatusOr<TopicEstimates> DecodeTopicGaussians(const MappedModel& model) {
+  auto rebuild = [](const char* side, int k, size_t dim,
+                    std::span<const double> mean,
+                    std::span<const double> prec) -> StatusOr<math::Gaussian> {
+    math::Vector mu(dim);
+    for (size_t i = 0; i < dim; ++i) mu[i] = mean[i];
+    math::Matrix lambda(dim, dim);
+    for (size_t r = 0; r < dim; ++r) {
+      for (size_t c = 0; c < dim; ++c) lambda(r, c) = prec[r * dim + c];
+    }
+    auto g = math::Gaussian::FromPrecision(std::move(mu), std::move(lambda));
+    if (!g.ok()) {
+      return Status::InvalidArgument(
+          std::string("model binary: ") + side + " gaussian for topic " +
+          std::to_string(k) + " is not positive definite: " +
+          g.status().message());
+    }
+    return g;
+  };
+  TopicEstimates est;
+  const int k_count = model.num_topics();
+  for (int k = 0; k < k_count; ++k) {
+    TEXRHEO_ASSIGN_OR_RETURN(
+        math::Gaussian gel, rebuild("gel", k, model.gel_dim(),
+                                    model.gel_mean(k), model.gel_precision(k)));
+    est.gel_topics.push_back(std::move(gel));
+    TEXRHEO_ASSIGN_OR_RETURN(
+        math::Gaussian emulsion,
+        rebuild("emulsion", k, model.emulsion_dim(), model.emulsion_mean(k),
+                model.emulsion_precision(k)));
+    est.emulsion_topics.push_back(std::move(emulsion));
+  }
+  for (int64_t n : model.recipe_counts()) {
+    est.topic_recipe_count.push_back(static_cast<int>(n));
+  }
+  return est;
 }
 
 StatusOr<ModelSnapshot> ReadModelBinary(const std::string& base_or_idx,
@@ -671,37 +771,10 @@ StatusOr<ModelSnapshot> ReadModelBinary(const std::string& base_or_idx,
     return Status::InvalidArgument(
         "model binary: vocabulary pool contains duplicate words");
   }
-  int k_count = mapped->num_topics();
-  model.estimates.phi.reserve(static_cast<size_t>(k_count));
-  for (int k = 0; k < k_count; ++k) {
+  TEXRHEO_ASSIGN_OR_RETURN(model.estimates, DecodeTopicGaussians(*mapped));
+  for (int k = 0; k < mapped->num_topics(); ++k) {
     std::span<const double> row = mapped->phi_row(k);
     model.estimates.phi.emplace_back(row.begin(), row.end());
-  }
-  auto rebuild = [](size_t dim, std::span<const double> mean,
-                    std::span<const double> prec) -> StatusOr<math::Gaussian> {
-    math::Vector mu(dim);
-    for (size_t i = 0; i < dim; ++i) mu[i] = mean[i];
-    math::Matrix lambda(dim, dim);
-    for (size_t r = 0; r < dim; ++r) {
-      for (size_t c = 0; c < dim; ++c) lambda(r, c) = prec[r * dim + c];
-    }
-    return math::Gaussian::FromPrecision(std::move(mu), std::move(lambda));
-  };
-  for (int k = 0; k < k_count; ++k) {
-    TEXRHEO_ASSIGN_OR_RETURN(
-        math::Gaussian gel,
-        rebuild(mapped->gel_dim(), mapped->gel_mean(k),
-                mapped->gel_precision(k)));
-    model.estimates.gel_topics.push_back(std::move(gel));
-    TEXRHEO_ASSIGN_OR_RETURN(
-        math::Gaussian emulsion,
-        rebuild(mapped->emulsion_dim(), mapped->emulsion_mean(k),
-                mapped->emulsion_precision(k)));
-    model.estimates.emulsion_topics.push_back(std::move(emulsion));
-  }
-  model.estimates.topic_recipe_count.reserve(static_cast<size_t>(k_count));
-  for (int64_t n : mapped->recipe_counts()) {
-    model.estimates.topic_recipe_count.push_back(static_cast<int>(n));
   }
   return model;
 }

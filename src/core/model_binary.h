@@ -15,9 +15,10 @@
 
 namespace texrheo::core {
 
-/// Memory-mapped indexed model format (the `.dat`/`.idx` pairing).
+/// The model format: a CRC-framed section image (the `.dat`/`.idx` pairing).
 ///
-/// A packed model is two sibling files sharing a base name:
+/// This is the only representation of a trained model. A packed model is
+/// two sibling files sharing a base name:
 ///
 ///   <base>.dat - flat data file: an 8-byte magic followed by fixed-offset,
 ///                64-byte-aligned sections (phi topic-term table, per-topic
@@ -28,18 +29,17 @@ namespace texrheo::core {
 ///                count, per-section CRC32 over the .dat bytes), and a
 ///                trailing CRC32 over the index itself.
 ///
-/// The writer emits `.dat` first and `.idx` last (both via AtomicWriteFile),
-/// so a valid index implies valid data: any crash mid-pack leaves either the
-/// old pair or a dangling `.dat` that no index points at. The reader mmaps
-/// `.dat` read-only and serves phi rows and Gaussian blocks as spans over
-/// the mapping - load cost is O(pages touched + one CRC pass), not a parse,
-/// and N serving processes on one box share the page cache.
+/// EncodeModelImage builds the `.dat` bytes and the section table in memory;
+/// WriteModelBinary writes them out, and MappedModel serves either a file
+/// mapping or an in-memory image through one validation. A snapshot built
+/// from a trained model and a snapshot loaded from its pack therefore hold
+/// the same bytes and answer bit-identically. Load cost is O(pages touched +
+/// one CRC pass), not a parse, and N serving processes on one box share the
+/// page cache.
 ///
 /// Like the checkpoint format, doubles travel as raw native-endian bit
 /// patterns: this is a single-machine serving artifact, not an interchange
-/// format. Pack canonicalizes through the v2 text round-trip first, so a
-/// binary model is bit-identical to "save v2 then load v2" of the same
-/// model, and the stored fingerprint equals the v2 load path's fingerprint.
+/// format.
 
 inline constexpr uint32_t kModelBinaryVersion = 1;
 
@@ -86,7 +86,7 @@ struct ModelBinaryIndex {
   uint64_t vocab_size = 0;
   uint32_t gel_dim = 0;
   uint32_t emulsion_dim = 0;
-  uint32_t fingerprint = 0;     ///< CRC32 of the canonical v2 serialization.
+  uint32_t fingerprint = 0;     ///< Stored model id (see ModelFingerprint).
   uint64_t data_file_size = 0;  ///< Exact `.dat` byte length.
   std::vector<ModelSectionEntry> sections;
 };
@@ -115,39 +115,60 @@ struct ModelBinaryPaths {
 };
 ModelBinaryPaths ModelBinaryPathsFor(const std::string& base_or_idx);
 
-/// Packs `snapshot` into `<base>.dat` + `<base>.idx`. The model is first
-/// canonicalized through the v2 text round-trip (serialize + reparse), so
-/// the packed doubles are bit-identical to what LoadModel of the v2 file
-/// would produce and the stored fingerprint matches the v2 load path.
-/// Both files are written atomically, `.idx` last.
-///
-/// A non-null, non-empty `embeddings` table is appended as the optional
-/// trailing section pair; its vocabulary size must match the model's. The
-/// fingerprint deliberately stays the CRC of the v2 *text* serialization
-/// (which has no embedding representation): it identifies the topic model,
-/// and a pack with and without embeddings of the same model are the same
-/// model to fingerprint-keyed machinery (reload checks, router
-/// convergence).
+/// Model id of an index: CRC32 of the header dims (K, V, Dg, De) followed
+/// by the (id, count, crc32) of the nine mandatory sections in canonical
+/// order. The section CRCs cover every stored byte, so equal ids mean equal
+/// estimates; the embedding sections stay outside, so a pack with and
+/// without embeddings of the same model are the same model to
+/// fingerprint-keyed machinery (reload checks, router convergence). The
+/// encoder stores this value in the index; readers report the stored value
+/// and never recompute it, so packs written under an earlier definition
+/// keep their id.
+uint32_t ModelFingerprint(const ModelBinaryIndex& index);
+
+/// One 64-byte block of an in-memory image. A vector of blocks is a
+/// section-aligned buffer without a custom allocator.
+struct alignas(64) ModelImageBlock {
+  uint8_t bytes[64];
+};
+
+/// An encoded model held in memory: the index and the `.dat` bytes it
+/// frames (index.data_file_size bytes at the start of `blocks`).
+struct ModelImage {
+  ModelBinaryIndex index;
+  std::vector<ModelImageBlock> blocks;
+
+  const uint8_t* data() const {
+    return reinterpret_cast<const uint8_t*>(blocks.data());
+  }
+  std::string_view dat() const {
+    return {reinterpret_cast<const char*>(data()),
+            static_cast<size_t>(index.data_file_size)};
+  }
+};
+
+/// Encodes `snapshot` into a section image: every double is stored bit for
+/// bit, the section CRCs and the fingerprint are computed, and the image
+/// passes ValidateModelBinaryIndex. Refuses structurally broken models
+/// (no topics, phi rows not V wide, Gaussian counts or dimensions that
+/// disagree, vocabulary words that are empty, too long, or contain
+/// whitespace). A non-null, non-empty `embeddings` table is appended as the
+/// optional trailing section pair; its vocabulary size must match the
+/// model's.
+StatusOr<ModelImage> EncodeModelImage(
+    const ModelSnapshot& snapshot,
+    const embed::EmbeddingTable* embeddings = nullptr);
+
+/// Packs `snapshot` (EncodeModelImage) into `<base>.dat` + `<base>.idx`.
+/// Both files are written atomically, `.dat` first. A failure before the
+/// first rename leaves the previous pair untouched; a crash between the two
+/// renames leaves the new `.dat` beside the old `.idx`, which then fails
+/// its section CRCs and loads neither model. Callers that must keep the
+/// previous model servable pack to a fresh base name.
 Status WriteModelBinary(const ModelSnapshot& snapshot,
                         const std::string& base_or_idx,
                         FileOps& ops = FileOps::Real(),
                         const embed::EmbeddingTable* embeddings = nullptr);
-
-/// Converts a v2 text model file into the binary pair (LoadModel +
-/// WriteModelBinary), optionally attaching an embedding table.
-Status ConvertModelFileToBinary(const std::string& v2_path,
-                                const std::string& base_or_idx,
-                                FileOps& ops = FileOps::Real(),
-                                const embed::EmbeddingTable* embeddings =
-                                    nullptr);
-
-/// Argument order matching SaveModel(path, snapshot): packs `snapshot`
-/// into `<base>.dat` + `<base>.idx`.
-inline Status SaveModelBinary(const std::string& base_or_idx,
-                              const ModelSnapshot& snapshot,
-                              FileOps& ops = FileOps::Real()) {
-  return WriteModelBinary(snapshot, base_or_idx, ops);
-}
 
 /// A read-only byte range returned by MemoryMapOps::Map.
 struct MappedRegion {
@@ -172,15 +193,17 @@ class MemoryMapOps {
   static MemoryMapOps& Real();
 };
 
-/// RAII view over a mapped, fully verified model pair.
+/// Read-only view over a fully verified section image: a mapped `.dat`
+/// (Open) or an owned in-memory image (FromImage).
 ///
-/// Open() validates everything up front - index frame + CRC, section table,
-/// data file size, per-section CRC32 over the mapped bytes, and vocabulary
-/// pool structure - so accessors can be unchecked span math. A truncated,
-/// bit-flipped, swapped, or hostile pair is rejected with a clean Status
-/// naming the failing section; no partially-valid MappedModel ever exists.
+/// Both factories run the same validation up front - section table, data
+/// size, magic, per-section CRC32 over the bytes, vocabulary pool structure
+/// and embedding finiteness (Open also checks the index frame + CRC) - so
+/// accessors can be unchecked span math. A truncated, bit-flipped, swapped,
+/// or hostile pair is rejected with a clean Status naming the failing
+/// section; no partially-valid MappedModel ever exists.
 ///
-/// The mapping is released in the destructor, so holders (ServingSnapshot,
+/// A mapping is released in the destructor, so holders (ServingSnapshot,
 /// and transitively every in-flight query) keep the pages alive via
 /// shared_ptr until the last reference drops.
 class MappedModel {
@@ -188,6 +211,8 @@ class MappedModel {
   static StatusOr<std::shared_ptr<const MappedModel>> Open(
       const std::string& base_or_idx,
       MemoryMapOps& ops = MemoryMapOps::Real());
+  static StatusOr<std::shared_ptr<const MappedModel>> FromImage(
+      ModelImage image);
 
   ~MappedModel();
   MappedModel(const MappedModel&) = delete;
@@ -197,11 +222,10 @@ class MappedModel {
   size_t vocab_size() const { return static_cast<size_t>(index_.vocab_size); }
   size_t gel_dim() const { return index_.gel_dim; }
   size_t emulsion_dim() const { return index_.emulsion_dim; }
-  /// Fingerprint recorded at pack time: CRC32 of the canonical v2 text
-  /// serialization, equal to what the v2 load path computes.
+  /// Fingerprint stored in the index at pack time (see ModelFingerprint).
   uint32_t fingerprint() const { return index_.fingerprint; }
+  /// Bytes of the `.dat` image (mapped or owned).
   size_t mapped_bytes() const { return region_.size; }
-  const std::string& dat_path() const { return paths_.dat; }
   const std::string& idx_path() const { return paths_.idx; }
 
   /// P(term v | topic k) row, served directly from the mapping.
@@ -236,11 +260,7 @@ class MappedModel {
   /// True when the pack carries the optional embedding section pair.
   bool has_embeddings() const { return embedding_ != nullptr; }
   size_t embedding_dim() const { return embedding_dim_; }
-  /// Row vector of vocabulary id v; requires has_embeddings().
-  std::span<const float> embedding(size_t v) const {
-    return {embedding_ + v * embedding_dim_, embedding_dim_};
-  }
-  /// Whole V*dim matrix / V norms, served directly from the mapping; both
+  /// Whole V*dim matrix / V norms, served directly from the image; both
   /// empty on a legacy nine-section pack.
   std::span<const float> embedding_matrix() const {
     return embedding_ == nullptr
@@ -253,8 +273,8 @@ class MappedModel {
                ? std::span<const float>{}
                : std::span<const float>{embedding_norms_, vocab_size()};
   }
-  /// Zero-copy view usable wherever a heap table's view is (empty view on a
-  /// legacy pack). Valid only while this MappedModel is alive.
+  /// Zero-copy view of the embedding sections (empty view on a legacy
+  /// pack). Valid only while this MappedModel is alive.
   embed::EmbeddingView embedding_view() const {
     if (!has_embeddings()) return embed::EmbeddingView{};
     return embed::EmbeddingView{vocab_size(), embedding_dim_,
@@ -263,13 +283,15 @@ class MappedModel {
 
  private:
   MappedModel(ModelBinaryPaths paths, ModelBinaryIndex index,
-              MappedRegion region, MemoryMapOps* ops);
+              MappedRegion region, MemoryMapOps* ops,
+              std::vector<ModelImageBlock> owned);
 
-  ModelBinaryPaths paths_;
+  ModelBinaryPaths paths_;  ///< Empty for an in-memory image.
   ModelBinaryIndex index_;
   MappedRegion region_;
-  MemoryMapOps* ops_;
-  // Typed section bases into region_, resolved once at Open.
+  MemoryMapOps* ops_;  ///< Unmaps region_; null for an in-memory image.
+  std::vector<ModelImageBlock> owned_;  ///< Backs region_ for FromImage.
+  // Typed section bases into region_, resolved once at construction.
   const double* phi_ = nullptr;
   const double* gel_mean_ = nullptr;
   const double* gel_prec_ = nullptr;
@@ -284,14 +306,15 @@ class MappedModel {
   size_t embedding_dim_ = 0;
 };
 
-/// Deep-copies the embedding sections of a mapped pack into a heap table
-/// (empty table when the pack has none). Used by `texrheo_modelpack unpack`
-/// to round-trip the sections byte-for-byte into the sidecar format.
-embed::EmbeddingTable CopyEmbeddingTable(const MappedModel& mapped);
+/// Materializes the per-topic Gaussians (gel and emulsion) and the Table-I
+/// recipe counts of a verified image; `phi` is left empty (serve it from
+/// the image). Fails when a precision block is not positive definite.
+StatusOr<TopicEstimates> DecodeTopicGaussians(const MappedModel& model);
 
 /// Fully decodes a binary pair back into a heap ModelSnapshot (the inverse
-/// of WriteModelBinary; used by `texrheo_modelpack unpack` and by
-/// equivalence tests). Serving should prefer MappedModel - this copies.
+/// of WriteModelBinary, bit for bit; used by equivalence tests and by
+/// tools that compare a pack against the estimates it came from). Serving
+/// should prefer MappedModel - this copies.
 StatusOr<ModelSnapshot> ReadModelBinary(
     const std::string& base_or_idx, MemoryMapOps& ops = MemoryMapOps::Real());
 

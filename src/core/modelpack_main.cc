@@ -1,62 +1,32 @@
-// texrheo_modelpack: pack, inspect, verify, and unpack the memory-mapped
-// binary model format (see core/model_binary.h).
+// texrheo_modelpack: inspect and verify a packed model (see
+// core/model_binary.h). Packs are written by the trainers and the ingest
+// refresh through core::WriteModelBinary.
 //
-//   texrheo_modelpack pack   model.txt out_base [--embed=emb.bin]
 //   texrheo_modelpack info   model.idx              # header + section table
 //   texrheo_modelpack verify model.idx              # full CRC + structure
-//   texrheo_modelpack unpack model.idx model.txt [--embed-out=emb.bin]
-//
-// `pack` canonicalizes through the v2 round-trip, so pack followed by
-// unpack reproduces the v2 file byte-for-byte. `--embed` attaches an
-// embedding sidecar (see embed/embedding.h) as the optional trailing
-// section pair; `--embed-out` extracts it again, byte-for-byte.
 
 #include <cstdio>
 #include <string>
 
 #include "core/model_binary.h"
-#include "core/serialization.h"
-#include "embed/embedding.h"
 #include "util/csv.h"
 #include "util/status.h"
 
 namespace {
 
 using texrheo::Status;
-using texrheo::StatusOr;
 namespace core = texrheo::core;
-namespace embed = texrheo::embed;
 
 int Usage() {
-  std::fprintf(
-      stderr,
-      "usage: texrheo_modelpack pack <model.txt> <out_base> [--embed=EMB]\n"
-      "       texrheo_modelpack info <model.idx>\n"
-      "       texrheo_modelpack verify <model.idx>\n"
-      "       texrheo_modelpack unpack <model.idx> <out.txt> "
-      "[--embed-out=EMB]\n");
+  std::fprintf(stderr,
+               "usage: texrheo_modelpack info <model.idx>\n"
+               "       texrheo_modelpack verify <model.idx>\n");
   return 2;
 }
 
 int Fail(const Status& status) {
   std::fprintf(stderr, "%s\n", status.ToString().c_str());
   return 1;
-}
-
-/// "--flag=value" -> value; empty when absent. Any other extra argument is
-/// a usage error (signalled via `bad`).
-std::string ParseFlagArg(int argc, char** argv, const char* flag, bool* bad) {
-  std::string prefix = std::string(flag) + "=";
-  std::string value;
-  for (int i = 4; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) {
-      value = arg.substr(prefix.size());
-    } else {
-      *bad = true;
-    }
-  }
-  return value;
 }
 
 int Info(const std::string& idx_path) {
@@ -124,63 +94,10 @@ int Verify(const std::string& idx_path) {
 }
 
 int Main(int argc, char** argv) {
-  if (argc < 3) return Usage();
+  if (argc != 3) return Usage();
   std::string command = argv[1];
-  if (command == "pack") {
-    if (argc < 4) return Usage();
-    bool bad = false;
-    std::string embed_path = ParseFlagArg(argc, argv, "--embed", &bad);
-    if (bad) return Usage();
-    embed::EmbeddingTable table;
-    if (!embed_path.empty()) {
-      auto table_or = embed::LoadEmbeddingTable(embed_path);
-      if (!table_or.ok()) return Fail(table_or.status());
-      table = *std::move(table_or);
-    }
-    Status status = core::ConvertModelFileToBinary(
-        argv[2], argv[3], texrheo::FileOps::Real(),
-        table.empty() ? nullptr : &table);
-    if (!status.ok()) return Fail(status);
-    core::ModelBinaryPaths paths = core::ModelBinaryPathsFor(argv[3]);
-    std::printf("wrote %s + %s%s\n", paths.dat.c_str(), paths.idx.c_str(),
-                table.empty() ? "" : " (with embeddings)");
-    return 0;
-  }
-  if (command == "info") {
-    if (argc != 3) return Usage();
-    return Info(argv[2]);
-  }
-  if (command == "verify") {
-    if (argc != 3) return Usage();
-    return Verify(argv[2]);
-  }
-  if (command == "unpack") {
-    if (argc < 4) return Usage();
-    bool bad = false;
-    std::string embed_out = ParseFlagArg(argc, argv, "--embed-out", &bad);
-    if (bad) return Usage();
-    auto model = core::ReadModelBinary(argv[2]);
-    if (!model.ok()) return Fail(model.status());
-    Status status = core::SaveModel(argv[3], *model);
-    if (!status.ok()) return Fail(status);
-    if (embed_out.empty()) {
-      std::printf("wrote %s\n", argv[3]);
-      return 0;
-    }
-    // Extracting the sidecar needs the mapped view (ReadModelBinary
-    // returns only the v2-representable model, which has no embeddings).
-    auto mapped = core::MappedModel::Open(argv[2]);
-    if (!mapped.ok()) return Fail(mapped.status());
-    if (!(*mapped)->has_embeddings()) {
-      return Fail(Status::FailedPrecondition(
-          "--embed-out: pack has no embedding sections (legacy pack)"));
-    }
-    embed::EmbeddingTable table = core::CopyEmbeddingTable(**mapped);
-    status = embed::SaveEmbeddingTable(embed_out, table);
-    if (!status.ok()) return Fail(status);
-    std::printf("wrote %s + %s\n", argv[3], embed_out.c_str());
-    return 0;
-  }
+  if (command == "info") return Info(argv[2]);
+  if (command == "verify") return Verify(argv[2]);
   return Usage();
 }
 

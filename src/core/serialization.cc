@@ -1,79 +1,12 @@
 #include "core/serialization.h"
 
-#include <sstream>
-
-#include "util/csv.h"
-#include "util/string_util.h"
-
 namespace texrheo::core {
-namespace {
-
-constexpr char kMagic[] = "texrheo-model";
-constexpr int kVersion = 2;
-constexpr char kEndSentinel[] = "end";
-
-// "line <n> @ byte <m> (\"<excerpt>\"): " prefix for parse errors, pointing
-// the user at the offending line. The byte offset (of the line start) is
-// the same position shape the binary model index reports, so both formats
-// can be diagnosed with one `dd`/hexdump incantation.
-std::string LineContext(int line_no, size_t byte_offset,
-                        const std::string& line) {
-  constexpr size_t kExcerptLimit = 48;
-  std::string excerpt = line.substr(0, kExcerptLimit);
-  if (line.size() > kExcerptLimit) excerpt += "...";
-  return "line " + std::to_string(line_no) + " @ byte " +
-         std::to_string(byte_offset) + " (\"" + excerpt + "\"): ";
-}
-
-void AppendGaussian(std::ostringstream& out, const char* tag, size_t k,
-                    const math::Gaussian& g) {
-  out << tag << ' ' << k << ' ' << g.dim();
-  for (size_t i = 0; i < g.dim(); ++i) {
-    out << ' ' << FormatDouble(g.mean()[i], 12);
-  }
-  for (size_t r = 0; r < g.dim(); ++r) {
-    for (size_t c = 0; c < g.dim(); ++c) {
-      out << ' ' << FormatDouble(g.precision()(r, c), 12);
-    }
-  }
-  out << '\n';
-}
-
-// Parses "<tag> k dim mean... precision..." tokens after the tag.
-StatusOr<math::Gaussian> ParseGaussian(const std::vector<std::string>& tokens,
-                                       size_t* topic_out) {
-  if (tokens.size() < 3) {
-    return Status::InvalidArgument("truncated gaussian line");
-  }
-  TEXRHEO_ASSIGN_OR_RETURN(int64_t k, ParseInt(tokens[1]));
-  TEXRHEO_ASSIGN_OR_RETURN(int64_t dim64, ParseInt(tokens[2]));
-  size_t dim = static_cast<size_t>(dim64);
-  if (tokens.size() != 3 + dim + dim * dim) {
-    return Status::InvalidArgument("gaussian line has wrong token count");
-  }
-  math::Vector mean(dim);
-  for (size_t i = 0; i < dim; ++i) {
-    TEXRHEO_ASSIGN_OR_RETURN(mean[i], ParseDouble(tokens[3 + i]));
-  }
-  math::Matrix precision(dim, dim);
-  size_t offset = 3 + dim;
-  for (size_t r = 0; r < dim; ++r) {
-    for (size_t c = 0; c < dim; ++c) {
-      TEXRHEO_ASSIGN_OR_RETURN(precision(r, c),
-                               ParseDouble(tokens[offset + r * dim + c]));
-    }
-  }
-  *topic_out = static_cast<size_t>(k);
-  return math::Gaussian::FromPrecision(std::move(mean), std::move(precision));
-}
-
-}  // namespace
 
 ModelSnapshot MakeSnapshot(const TopicEstimates& estimates,
                            const text::Vocabulary& vocab) {
   ModelSnapshot snapshot;
   // Rebuild the vocabulary to detach it from the dataset, preserving the
-  // corpus occurrence counts (they are part of the serialized model).
+  // corpus occurrence counts (they are part of the packed model).
   for (size_t id = 0; id < vocab.size(); ++id) {
     snapshot.vocab.AddWithCount(vocab.WordOf(static_cast<int32_t>(id)),
                                 vocab.CountOf(static_cast<int32_t>(id)));
@@ -83,242 +16,6 @@ ModelSnapshot MakeSnapshot(const TopicEstimates& estimates,
   snapshot.estimates.emulsion_topics = estimates.emulsion_topics;
   snapshot.estimates.topic_recipe_count = estimates.topic_recipe_count;
   return snapshot;
-}
-
-std::string SerializeModel(const ModelSnapshot& snapshot) {
-  std::ostringstream out;
-  out << kMagic << ' ' << kVersion << '\n';
-  out << "vocab " << snapshot.vocab.size() << '\n';
-  for (size_t id = 0; id < snapshot.vocab.size(); ++id) {
-    out << snapshot.vocab.WordOf(static_cast<int32_t>(id)) << ' '
-        << snapshot.vocab.CountOf(static_cast<int32_t>(id)) << '\n';
-  }
-  out << "topics " << snapshot.estimates.phi.size() << '\n';
-  for (size_t k = 0; k < snapshot.estimates.phi.size(); ++k) {
-    out << "phi " << k;
-    for (double p : snapshot.estimates.phi[k]) {
-      out << ' ' << FormatDouble(p, 12);
-    }
-    out << '\n';
-  }
-  for (size_t k = 0; k < snapshot.estimates.gel_topics.size(); ++k) {
-    AppendGaussian(out, "gel_topic", k, snapshot.estimates.gel_topics[k]);
-  }
-  for (size_t k = 0; k < snapshot.estimates.emulsion_topics.size(); ++k) {
-    AppendGaussian(out, "emulsion_topic", k,
-                   snapshot.estimates.emulsion_topics[k]);
-  }
-  for (size_t k = 0; k < snapshot.estimates.topic_recipe_count.size(); ++k) {
-    out << "recipe_count " << k << ' '
-        << snapshot.estimates.topic_recipe_count[k] << '\n';
-  }
-  out << kEndSentinel << '\n';
-  return out.str();
-}
-
-StatusOr<ModelSnapshot> DeserializeModel(const std::string& content) {
-  if (content.empty()) {
-    return Status::InvalidArgument("empty model file");
-  }
-  if (content.back() != '\n') {
-    return Status::InvalidArgument(
-        "model file does not end with a newline (truncated?)");
-  }
-  std::istringstream in(content);
-  std::string line;
-  int line_no = 0;
-  size_t line_start = 0;  // Byte offset of the current line's first char.
-  size_t consumed = 0;
-  auto next_line = [&in, &line, &line_no, &line_start, &consumed]() {
-    line_start = consumed;
-    if (!std::getline(in, line)) return false;
-    ++line_no;
-    consumed += line.size() + 1;  // Every line ends in '\n' (checked above).
-    return true;
-  };
-  auto parse_error = [&line_no, &line_start, &line](std::string what) {
-    return Status::InvalidArgument(LineContext(line_no, line_start, line) +
-                                   std::move(what));
-  };
-  auto with_context = [&line_no, &line_start, &line](const Status& status) {
-    return Status(status.code(),
-                  LineContext(line_no, line_start, line) + status.message());
-  };
-
-  if (!next_line()) {
-    return Status::InvalidArgument("empty model file");
-  }
-  {
-    std::vector<std::string> header = SplitWhitespace(line);
-    if (header.size() != 2 || header[0] != kMagic) {
-      return parse_error("not a texrheo model file");
-    }
-    auto version = ParseInt(header[1]);
-    if (!version.ok()) {
-      return with_context(version.status());
-    }
-    if (*version != kVersion) {
-      return parse_error("unsupported model version " +
-                         std::to_string(*version) + " (expected " +
-                         std::to_string(kVersion) + ")");
-    }
-  }
-
-  ModelSnapshot snapshot;
-  // vocab section.
-  if (!next_line()) {
-    return Status::InvalidArgument("missing vocab section");
-  }
-  std::vector<std::string> tokens = SplitWhitespace(line);
-  if (tokens.size() != 2 || tokens[0] != "vocab") {
-    return parse_error("expected 'vocab <n>'");
-  }
-  auto vocab_size_or = ParseInt(tokens[1]);
-  if (!vocab_size_or.ok()) {
-    return with_context(vocab_size_or.status());
-  }
-  int64_t vocab_size = *vocab_size_or;
-  if (vocab_size < 0) {
-    return parse_error("negative vocab size");
-  }
-  for (int64_t i = 0; i < vocab_size; ++i) {
-    if (!next_line()) {
-      return parse_error("truncated vocab section");
-    }
-    std::vector<std::string> wc = SplitWhitespace(line);
-    if (wc.size() != 2) {
-      return parse_error("malformed vocab line");
-    }
-    auto count_or = ParseInt(wc[1]);
-    if (!count_or.ok()) return with_context(count_or.status());
-    if (*count_or < 0) {
-      return parse_error("negative vocab count");
-    }
-    // Preserve the stored count so re-serializing reproduces the input
-    // byte-for-byte (the binary pack path depends on this fixed point).
-    snapshot.vocab.AddWithCount(wc[0], *count_or);
-  }
-
-  // topics count.
-  if (!next_line()) {
-    return Status::InvalidArgument("missing topics section");
-  }
-  tokens = SplitWhitespace(line);
-  if (tokens.size() != 2 || tokens[0] != "topics") {
-    return parse_error("expected 'topics <k>'");
-  }
-  auto k_count_or = ParseInt(tokens[1]);
-  if (!k_count_or.ok()) {
-    return with_context(k_count_or.status());
-  }
-  int64_t k_count = *k_count_or;
-  if (k_count < 0) {
-    return parse_error("negative topic count");
-  }
-  snapshot.estimates.phi.assign(static_cast<size_t>(k_count), {});
-  snapshot.estimates.topic_recipe_count.assign(static_cast<size_t>(k_count),
-                                               0);
-  std::vector<bool> have_gel(static_cast<size_t>(k_count), false);
-  std::vector<bool> have_emulsion(static_cast<size_t>(k_count), false);
-  snapshot.estimates.gel_topics.reserve(static_cast<size_t>(k_count));
-  snapshot.estimates.emulsion_topics.reserve(static_cast<size_t>(k_count));
-
-  bool saw_end = false;
-  while (next_line()) {
-    if (saw_end) {
-      return parse_error("content after 'end' marker");
-    }
-    if (Trim(line).empty()) continue;
-    tokens = SplitWhitespace(line);
-    const std::string& tag = tokens[0];
-    if (tag == kEndSentinel) {
-      if (tokens.size() != 1) {
-        return parse_error("malformed 'end' marker");
-      }
-      saw_end = true;
-    } else if (tag == "phi") {
-      if (tokens.size() < 2) {
-        return parse_error("bad phi line");
-      }
-      auto k_or = ParseInt(tokens[1]);
-      if (!k_or.ok()) return with_context(k_or.status());
-      int64_t k = *k_or;
-      if (k < 0 || k >= k_count) {
-        return with_context(
-            Status::OutOfRange("phi topic index out of range"));
-      }
-      std::vector<double> row;
-      row.reserve(tokens.size() - 2);
-      for (size_t i = 2; i < tokens.size(); ++i) {
-        auto p = ParseDouble(tokens[i]);
-        if (!p.ok()) return with_context(p.status());
-        row.push_back(*p);
-      }
-      if (static_cast<int64_t>(row.size()) != vocab_size) {
-        return parse_error("phi row length != vocab size");
-      }
-      snapshot.estimates.phi[static_cast<size_t>(k)] = std::move(row);
-    } else if (tag == "gel_topic" || tag == "emulsion_topic") {
-      size_t k = 0;
-      auto g = ParseGaussian(tokens, &k);
-      if (!g.ok()) return with_context(g.status());
-      if (k >= static_cast<size_t>(k_count)) {
-        return with_context(
-            Status::OutOfRange("gaussian topic index out of range"));
-      }
-      auto& list = tag[0] == 'g' ? snapshot.estimates.gel_topics
-                                 : snapshot.estimates.emulsion_topics;
-      auto& have = tag[0] == 'g' ? have_gel : have_emulsion;
-      if (k != list.size() || have[k]) {
-        return parse_error("gaussians must appear once, in topic order");
-      }
-      list.push_back(std::move(g).value());
-      have[k] = true;
-    } else if (tag == "recipe_count") {
-      if (tokens.size() != 3) {
-        return parse_error("bad recipe_count line");
-      }
-      auto k_or = ParseInt(tokens[1]);
-      if (!k_or.ok()) return with_context(k_or.status());
-      auto n_or = ParseInt(tokens[2]);
-      if (!n_or.ok()) return with_context(n_or.status());
-      if (*k_or < 0 || *k_or >= k_count) {
-        return with_context(
-            Status::OutOfRange("recipe_count topic out of range"));
-      }
-      snapshot.estimates.topic_recipe_count[static_cast<size_t>(*k_or)] =
-          static_cast<int>(*n_or);
-    } else {
-      return parse_error("unknown section: " + tag);
-    }
-  }
-
-  if (!saw_end) {
-    return Status::InvalidArgument(
-        "missing 'end' marker after line " + std::to_string(line_no) +
-        " @ byte " + std::to_string(line_start) + " (truncated model file)");
-  }
-  if (snapshot.estimates.gel_topics.size() !=
-          static_cast<size_t>(k_count) ||
-      snapshot.estimates.emulsion_topics.size() !=
-          static_cast<size_t>(k_count)) {
-    return Status::InvalidArgument("missing topic gaussians");
-  }
-  return snapshot;
-}
-
-Status SaveModel(const std::string& path, const ModelSnapshot& snapshot) {
-  return SaveModel(path, snapshot, FileOps::Real());
-}
-
-Status SaveModel(const std::string& path, const ModelSnapshot& snapshot,
-                 FileOps& ops) {
-  return AtomicWriteFile(path, SerializeModel(snapshot), ops);
-}
-
-StatusOr<ModelSnapshot> LoadModel(const std::string& path) {
-  TEXRHEO_ASSIGN_OR_RETURN(std::string content, ReadFileToString(path));
-  return DeserializeModel(content);
 }
 
 }  // namespace texrheo::core

@@ -1,40 +1,13 @@
 #include "embed/embedding.h"
 
 #include <cmath>
-#include <cstring>
-#include <limits>
-
-#include "util/crc32.h"
-#include "util/csv.h"
 
 namespace texrheo::embed {
 namespace {
 
-constexpr char kEmbeddingMagic[8] = {'t', 'e', 'x', 'r', 'e', 'm', 'b', '1'};
-constexpr uint32_t kEmbeddingVersion = 1;
-// Mirrors core/model_binary's kMaxDim: a vector wider than this is a parse
-// error, not a plausible model.
+// Mirrors core/model_binary's kMaxDim: a vector wider than this is not a
+// plausible model.
 constexpr uint64_t kMaxEmbeddingDim = 1024;
-constexpr uint64_t kMaxEmbeddingVocab = 1ull << 32;
-
-void AppendU32(std::string& out, uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, sizeof(v));
-  out.append(buf, sizeof(buf));
-}
-
-void AppendU64(std::string& out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, sizeof(v));
-  out.append(buf, sizeof(buf));
-}
-
-void AppendFloats(std::string& out, const std::vector<float>& values) {
-  const size_t bytes = values.size() * sizeof(float);
-  const size_t offset = out.size();
-  out.resize(offset + bytes);
-  if (bytes > 0) std::memcpy(out.data() + offset, values.data(), bytes);
-}
 
 }  // namespace
 
@@ -87,79 +60,6 @@ Status ValidateEmbeddingTable(const EmbeddingTable& table) {
     }
   }
   return Status::OK();
-}
-
-Status SaveEmbeddingTable(const std::string& path, const EmbeddingTable& table,
-                          FileOps& ops) {
-  TEXRHEO_RETURN_IF_ERROR(ValidateEmbeddingTable(table));
-  if (table.empty()) {
-    return Status::InvalidArgument("refusing to save an empty embedding table");
-  }
-  std::string out;
-  out.reserve(32 + (table.vectors.size() + table.norms.size()) * sizeof(float));
-  out.append(kEmbeddingMagic, sizeof(kEmbeddingMagic));
-  AppendU32(out, kEmbeddingVersion);
-  AppendU32(out, table.dim);
-  AppendU64(out, table.vocab_size());
-  AppendFloats(out, table.vectors);
-  AppendFloats(out, table.norms);
-  AppendU32(out, Crc32(out.data(), out.size()));
-  return AtomicWriteFile(path, out, ops);
-}
-
-StatusOr<EmbeddingTable> LoadEmbeddingTable(const std::string& path) {
-  TEXRHEO_ASSIGN_OR_RETURN(std::string raw, ReadFileToString(path));
-  constexpr size_t kHeaderBytes = 8 + 4 + 4 + 8;
-  if (raw.size() < kHeaderBytes + sizeof(uint32_t)) {
-    return Status::InvalidArgument("embedding file too small: " + path);
-  }
-  if (std::memcmp(raw.data(), kEmbeddingMagic, sizeof(kEmbeddingMagic)) != 0) {
-    return Status::InvalidArgument("bad embedding file magic: " + path);
-  }
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, raw.data() + raw.size() - sizeof(uint32_t),
-              sizeof(uint32_t));
-  const uint32_t actual_crc = Crc32(raw.data(), raw.size() - sizeof(uint32_t));
-  if (stored_crc != actual_crc) {
-    return Status::InvalidArgument("embedding file CRC mismatch: " + path);
-  }
-  uint32_t version = 0;
-  uint32_t dim = 0;
-  uint64_t vocab = 0;
-  std::memcpy(&version, raw.data() + 8, sizeof(version));
-  std::memcpy(&dim, raw.data() + 12, sizeof(dim));
-  std::memcpy(&vocab, raw.data() + 16, sizeof(vocab));
-  if (version != kEmbeddingVersion) {
-    return Status::InvalidArgument("unsupported embedding file version " +
-                                   std::to_string(version));
-  }
-  if (dim == 0 || dim > kMaxEmbeddingDim) {
-    return Status::InvalidArgument("embedding file dim out of range: " +
-                                   std::to_string(dim));
-  }
-  if (vocab == 0 || vocab > kMaxEmbeddingVocab) {
-    return Status::InvalidArgument("embedding file vocab out of range: " +
-                                   std::to_string(vocab));
-  }
-  const uint64_t want_floats = vocab * dim + vocab;
-  const uint64_t want_bytes =
-      kHeaderBytes + want_floats * sizeof(float) + sizeof(uint32_t);
-  if (raw.size() != want_bytes) {
-    return Status::InvalidArgument(
-        "embedding file size mismatch: expected " + std::to_string(want_bytes) +
-        " bytes, got " + std::to_string(raw.size()));
-  }
-  EmbeddingTable table;
-  table.dim = dim;
-  table.vectors.resize(static_cast<size_t>(vocab) * dim);
-  table.norms.resize(static_cast<size_t>(vocab));
-  std::memcpy(table.vectors.data(), raw.data() + kHeaderBytes,
-              table.vectors.size() * sizeof(float));
-  std::memcpy(table.norms.data(),
-              raw.data() + kHeaderBytes + table.vectors.size() * sizeof(float),
-              table.norms.size() * sizeof(float));
-  TEXRHEO_RETURN_IF_ERROR(ValidateEmbeddingTable(table));
-  return table;
 }
 
 }  // namespace texrheo::embed

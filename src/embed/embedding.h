@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "util/atomic_file.h"
 #include "util/status.h"
 
 namespace texrheo::embed {
@@ -35,11 +34,10 @@ struct EmbeddingTable {
   void RecomputeNorms();
 };
 
-/// Non-owning span view of an embedding table. One interface over both
-/// storage paths: a heap EmbeddingTable and the mmapped model-binary
-/// sections serve through the same view, so consumers (EmbeddingIndex, the
-/// query engine) cannot tell them apart — which is what makes the
-/// heap-vs-mmap byte-identical-responses guarantee testable.
+/// Non-owning span view of an embedding table: a heap EmbeddingTable or
+/// the embedding sections of a model image (core/model_binary.h) serve
+/// through the same view, so consumers (EmbeddingIndex, the query engine)
+/// never depend on where the floats live.
 struct EmbeddingView {
   size_t vocab = 0;
   size_t dim = 0;
@@ -59,17 +57,6 @@ struct EmbeddingView {
 /// Structural check: dim >= 1, vectors.size() == vocab * dim,
 /// norms.size() == vocab, every value finite. Empty tables are valid.
 Status ValidateEmbeddingTable(const EmbeddingTable& table);
-
-/// Durably writes the standalone sidecar format (`texremb1`: header,
-/// vectors, norms, trailing CRC32) via AtomicWriteFile. Used by the
-/// training CLI and by `texrheo_modelpack pack --embed= / unpack
-/// --embed-out=` to round-trip the binary pack's embedding sections.
-Status SaveEmbeddingTable(const std::string& path, const EmbeddingTable& table,
-                          FileOps& ops = FileOps::Real());
-
-/// Parses a sidecar file: magic, version, shape bounds, trailing CRC.
-/// A torn or bit-flipped file is rejected before any value is trusted.
-StatusOr<EmbeddingTable> LoadEmbeddingTable(const std::string& path);
 
 }  // namespace texrheo::embed
 

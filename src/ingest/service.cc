@@ -1,5 +1,7 @@
 #include "ingest/service.h"
 
+#include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -24,6 +26,27 @@ namespace fs = std::filesystem;
 
 constexpr char kDeltaCorpusFile[] = "delta-corpus.txt";
 constexpr char kDeltaCorpusHeader[] = "texrheo-delta-corpus v1";
+constexpr char kPackPrefix[] = "model-r";
+
+/// Highest N among the files named model-r<N>.* in `dir` (0 when none), so
+/// a refresh never packs over a pair an earlier cycle or process left.
+uint64_t HighestPackNumber(const std::string& dir) {
+  uint64_t highest = 0;
+  std::error_code ec;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind(kPackPrefix, 0) != 0) continue;
+    const char* digits = name.c_str() + sizeof(kPackPrefix) - 1;
+    const char* name_end = name.c_str() + name.size();
+    uint64_t n = 0;
+    auto [rest, err] = std::from_chars(digits, name_end, n);
+    if (err == std::errc() && rest != digits && rest != name_end &&
+        *rest == '.') {
+      highest = std::max(highest, n);
+    }
+  }
+  return highest;
+}
 
 }  // namespace
 
@@ -341,9 +364,9 @@ StatusOr<IngestService::RefreshOutcome> IngestService::RefreshLocked() {
   }
   core::ModelSnapshot snapshot =
       core::MakeSnapshot(model.Estimate(), combined.term_vocab);
-  ++refresh_count_;
-  const std::string base =
-      refresh.model_dir + "/model-r" + std::to_string(refresh_count_);
+  const std::string base = refresh.model_dir + "/" + kPackPrefix +
+                           std::to_string(HighestPackNumber(refresh.model_dir) +
+                                          1);
   TEXRHEO_RETURN_IF_ERROR(core::WriteModelBinary(snapshot, base, ops_));
   core::ModelBinaryPaths paths = core::ModelBinaryPathsFor(base);
   TEXRHEO_ASSIGN_OR_RETURN(

@@ -34,7 +34,9 @@ struct RefreshTrainConfig {
   /// checkpoint exists yet (first deployment), train.sweeps cold-start
   /// sweeps run instead.
   int refresh_sweeps = 5;
-  /// Directory receiving the packed model pairs (model-r<N>.dat/.idx).
+  /// Directory receiving the packed model pairs (model-r<N>.dat/.idx). Each
+  /// refresh packs to the next N past every model-r<N> already there, so a
+  /// restarted service never overwrites a pair a fleet may still serve.
   std::string model_dir;
   /// Feature map used to lift concentration ratios into feature space for
   /// the training documents (must match the base corpus funnel).
@@ -172,7 +174,6 @@ class IngestService {
   /// must stay stable for checkpoint warm starts). Guarded by mu_.
   std::vector<IngestRecord> absorbed_;
   uint64_t absorbed_sequence_ = 0;  // Guarded by mu_.
-  uint64_t refresh_count_ = 0;      // Guarded by refresh_mu_.
 
   std::mutex refresh_mu_;  ///< At most one refresh cycle at a time.
 

@@ -301,9 +301,9 @@ class QueryEngine {
   /// started with; zero queries fail due to a reload.
   Status Reload(std::shared_ptr<const ServingSnapshot> snapshot);
 
-  /// Reload() from a model file on disk: `.idx`/`.dat` paths mmap the
-  /// packed binary pair (reload becomes an mmap + pointer swap), anything
-  /// else parses the v2 text format.
+  /// Reload() from a packed model on disk (ServingSnapshot::FromFile: the
+  /// `.idx`, the `.dat`, or the base path); reload is an mmap, one CRC
+  /// pass, and a pointer swap.
   Status ReloadFromFile(const std::string& path);
 
   /// Snapshot currently being served.

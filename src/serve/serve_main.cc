@@ -1,6 +1,6 @@
 // texrheo_serve: line-protocol TCP front-end over the texture query engine.
 //
-//   texrheo_serve --model=model.txt [--port=7333]
+//   texrheo_serve --model=model.idx [--port=7333]
 //   texrheo_serve --toy [--port=0] [--selftest]
 //
 // Robustness knobs (defaults in serve/server.h):
@@ -52,9 +52,10 @@ struct LoadedModel {
   std::shared_ptr<const texrheo::serve::ServingSnapshot> snapshot;
   /// Non-null only for --toy (enables SIMILAR); kept alive by the caller.
   std::unique_ptr<texrheo::recipe::Dataset> corpus;
-  /// Model file usable as a RELOAD target in selftest (toy mode only).
+  /// Pack of the model without embedding sections (`.idx`), a RELOAD target
+  /// in selftest (toy mode only).
   std::string model_file;
-  /// Packed binary twin (`.idx`) of model_file, also selftest-reloaded.
+  /// Pack of the same model with its embeddings, also selftest-reloaded.
   std::string binary_idx;
 };
 
@@ -87,21 +88,21 @@ StatusOr<LoadedModel> LoadToy(double scale, const std::string& dump_dir) {
     // atomic-rename tmp files collide and the loser dies at startup).
     const std::string base = dump_dir + "/texrheo_serve_toy_model." +
                              std::to_string(static_cast<long>(getpid()));
-    loaded.model_file = base + ".txt";
+    // Two packs of the model for the selftest's reloads: one without the
+    // embedding sections (the legacy-pack case, where embed-mode queries
+    // must fail cleanly) and one with them, so embed/fused survive a
+    // reload.
     TEXRHEO_RETURN_IF_ERROR(
-        texrheo::core::SaveModel(loaded.model_file, model));
-    // Pack the binary twin so selftest exercises the mmap reload path too —
-    // with the embedding sections, so embed/fused survive a binary reload.
-    // The text twin stays v2 (no embeddings): reloading it is the selftest's
-    // legacy-model case, where embed-mode queries must fail cleanly.
+        texrheo::core::WriteModelBinary(model, base + ".plain"));
+    loaded.model_file = base + ".plain.idx";
     TEXRHEO_RETURN_IF_ERROR(texrheo::core::WriteModelBinary(
         model, base, texrheo::FileOps::Real(), &embeddings));
     loaded.binary_idx = base + ".idx";
   }
   TEXRHEO_ASSIGN_OR_RETURN(
       loaded.snapshot,
-      texrheo::serve::ServingSnapshot::FromModel(
-          std::move(model), "toy-experiment", std::move(embeddings)));
+      texrheo::serve::ServingSnapshot::FromModel(model, "toy-experiment",
+                                                 embeddings));
   loaded.corpus = std::make_unique<texrheo::recipe::Dataset>(
       std::move(result.dataset));
   return loaded;
@@ -109,8 +110,7 @@ StatusOr<LoadedModel> LoadToy(double scale, const std::string& dump_dir) {
 
 StatusOr<LoadedModel> LoadFromFile(const std::string& path) {
   LoadedModel loaded;
-  // FromFile dispatches on the extension: .idx/.dat mmap the packed binary
-  // pair, anything else parses the v2 text format.
+  // Maps the packed pair; `path` may name the .idx, the .dat, or the base.
   TEXRHEO_ASSIGN_OR_RETURN(loaded.snapshot,
                            texrheo::serve::ServingSnapshot::FromFile(path));
   loaded.model_file = path;
@@ -166,8 +166,8 @@ Status RunSelftest(int port, const std::string& reload_file,
   }
   if (!reload_file.empty()) {
     TEXRHEO_RETURN_IF_ERROR(expect_ok("RELOAD " + reload_file));
-    // The text model is a legacy v2 pack with no embedding sections:
-    // embed-backed modes must fail with a clean ERR, not serve garbage.
+    // This pack carries no embedding sections: embed-backed modes must
+    // fail with a clean ERR, not serve garbage.
     TEXRHEO_ASSIGN_OR_RETURN(
         std::string legacy,
         client->RoundTrip("SIMILAR gelatin=0.02 terms=katai mode=embed"));
@@ -178,9 +178,9 @@ Status RunSelftest(int port, const std::string& reload_file,
     TEXRHEO_RETURN_IF_ERROR(expect_ok("SIMILAR gelatin=0.02 mode=kl n=3"));
   }
   if (!reload_binary.empty()) {
-    // Hot reload from the packed binary pair (mmap path), then prove the
-    // swapped-in mapping actually serves — including its embedding
-    // sections, which the text model just dropped.
+    // Hot reload of the pack with embeddings, then prove the swapped-in
+    // mapping actually serves — including the embedding sections the
+    // previous pack lacked.
     TEXRHEO_RETURN_IF_ERROR(expect_ok("RELOAD " + reload_binary));
     TEXRHEO_RETURN_IF_ERROR(expect_ok("TOPIC 0"));
     TEXRHEO_RETURN_IF_ERROR(expect_ok(
@@ -330,7 +330,7 @@ int Main(int argc, char** argv) {
   }
   if (toy == !model_path.empty()) {
     std::fprintf(stderr,
-                 "usage: texrheo_serve (--toy | --model=FILE) [--port=N] "
+                 "usage: texrheo_serve (--toy | --model=PACK.idx) [--port=N] "
                  "[--selftest]\n");
     return 2;
   }

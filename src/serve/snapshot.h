@@ -50,44 +50,34 @@ struct TopicTermSummary {
 /// keeps its model alive across any number of reloads. Every accessor is
 /// therefore safe from any thread by construction.
 ///
-/// Two storage paths sit behind one span/string_view interface:
-///  - heap: FromModelFile / FromModel / FromCheckpointFile own a decoded
-///    core::ModelSnapshot;
-///  - mmap: FromBinaryFile keeps a shared_ptr<const core::MappedModel> and
-///    serves phi rows and the vocabulary string pool directly out of the
-///    mapping - no per-load heap copy of the big tables. The snapshot (and
-///    transitively every in-flight query holding it) keeps the mapping
-///    alive, so unmapping is deferred until the last reference drops.
-/// Both paths serve byte-identical answers for the same model: the binary
-/// pack canonicalizes through the v2 text round-trip.
+/// The model is always a verified section image (core::MappedModel): a
+/// mapped pack for FromFile, an in-memory encoding of the estimates for
+/// FromModel / FromCheckpointFile. Phi rows, the vocabulary and the
+/// embeddings are served straight out of the image; a snapshot built from
+/// a model and one loaded from its pack hold the same bytes and answer
+/// bit-identically. A mapping stays alive while the snapshot (and
+/// transitively every in-flight query holding it) does, so unmapping is
+/// deferred until the last reference drops.
 class ServingSnapshot {
  public:
-  /// Wraps a deserialized model, derives the per-topic term summaries, and
-  /// computes the content fingerprint. Fails on structurally inconsistent
-  /// estimates (phi/Gaussian/topic-count shape mismatches). A non-empty
-  /// `embeddings` table (vocabulary-aligned with the model) enables the
-  /// embed/fused SIMILAR backends; it does not enter the fingerprint, which
-  /// identifies the topic model alone (see WriteModelBinary).
+  /// Encodes the model into a section image (core::EncodeModelImage) and
+  /// serves it exactly as a loaded pack of it. Fails on structurally
+  /// inconsistent estimates (phi/Gaussian/topic-count shape mismatches). A
+  /// non-empty `embeddings` table (vocabulary-aligned with the model)
+  /// enables the embed/fused SIMILAR backends; it does not enter the
+  /// fingerprint, which identifies the topic model alone.
   static StatusOr<std::shared_ptr<const ServingSnapshot>> FromModel(
-      core::ModelSnapshot model, std::string source,
-      embed::EmbeddingTable embeddings = {});
+      const core::ModelSnapshot& model, std::string source,
+      const embed::EmbeddingTable& embeddings = {});
 
-  /// Loads a text-format (v2) model file.
-  static StatusOr<std::shared_ptr<const ServingSnapshot>> FromModelFile(
-      const std::string& path);
-
-  /// Maps a packed binary model pair (see core/model_binary.h). `path` may
-  /// be the `.idx`, the `.dat`, or the bare base path. The fingerprint is
-  /// read from the verified index header rather than recomputed, so load
-  /// cost is the mmap, one CRC pass, and the per-topic summaries.
-  static StatusOr<std::shared_ptr<const ServingSnapshot>> FromBinaryFile(
+  /// Maps a packed model pair (see core/model_binary.h). `path` may be the
+  /// `.idx`, the `.dat`, or the bare base path. The fingerprint is read from
+  /// the verified index header rather than recomputed, so load cost is the
+  /// mmap, one CRC pass, and the per-topic summaries. What RELOAD and
+  /// --model accept.
+  static StatusOr<std::shared_ptr<const ServingSnapshot>> FromFile(
       const std::string& path,
       core::MemoryMapOps& ops = core::MemoryMapOps::Real());
-
-  /// Dispatches on the file name: `.idx`/`.dat` go to FromBinaryFile,
-  /// anything else to FromModelFile. What RELOAD and --model accept.
-  static StatusOr<std::shared_ptr<const ServingSnapshot>> FromFile(
-      const std::string& path);
 
   /// Rebuilds a servable model from a Gibbs *checkpoint*: the checkpoint's
   /// fingerprint reconstructs the training configuration, the sampler state
@@ -97,52 +87,36 @@ class ServingSnapshot {
   static StatusOr<std::shared_ptr<const ServingSnapshot>> FromCheckpointFile(
       const std::string& path, const recipe::Dataset& dataset);
 
-  int num_topics() const { return num_topics_; }
-  size_t vocab_size() const { return vocab_size_; }
-  /// CRC32 of the canonical serialized model text: two snapshots with the
-  /// same fingerprint serve identical answers.
-  uint32_t fingerprint() const { return fingerprint_; }
+  int num_topics() const { return model_->num_topics(); }
+  size_t vocab_size() const { return model_->vocab_size(); }
+  /// Model id stored in the image's index (core::ModelFingerprint): two
+  /// snapshots with the same fingerprint serve identical answers.
+  uint32_t fingerprint() const { return model_->fingerprint(); }
   /// Where the snapshot came from (path or label), for /statsz.
   const std::string& source() const { return source_; }
-  /// True when phi and the vocabulary are served out of a file mapping.
-  bool mmap_backed() const { return mapped_ != nullptr; }
-  /// Bytes of the `.dat` mapping (0 on the heap path), for /statsz.
-  size_t mapped_bytes() const {
-    return mapped_ != nullptr ? mapped_->mapped_bytes() : 0;
-  }
+  /// Bytes of the section image, for /statsz.
+  size_t mapped_bytes() const { return model_->mapped_bytes(); }
 
-  /// P(term v | topic k): a view into either the heap row or the mapping.
-  std::span<const double> phi(int k) const {
-    if (mapped_ != nullptr) return mapped_->phi_row(k);
-    return model_.estimates.phi[static_cast<size_t>(k)];
-  }
-  /// True when the snapshot can serve embedding-backed similarity (a heap
-  /// table was attached, or the binary pack carries the embedding pair).
-  bool has_embeddings() const {
-    return mapped_ != nullptr ? mapped_->has_embeddings()
-                              : !embeddings_.empty();
-  }
-  /// Zero-copy span view of the embeddings (heap rows or mapped sections);
-  /// empty view when has_embeddings() is false. Valid while the snapshot
-  /// lives — exactly the lifetime every in-flight query already holds.
+  /// P(term v | topic k), served from the image.
+  std::span<const double> phi(int k) const { return model_->phi_row(k); }
+  /// True when the image carries the embedding section pair, enabling
+  /// embedding-backed similarity.
+  bool has_embeddings() const { return model_->has_embeddings(); }
+  /// Zero-copy span view of the embedding sections; empty view when
+  /// has_embeddings() is false. Valid while the snapshot lives — exactly
+  /// the lifetime every in-flight query already holds.
   embed::EmbeddingView embedding_view() const {
-    if (mapped_ != nullptr) return mapped_->embedding_view();
-    return embed::EmbeddingView::Of(embeddings_);
+    return model_->embedding_view();
   }
 
   /// Surface form of a vocabulary id.
-  std::string_view word(size_t v) const {
-    if (mapped_ != nullptr) return mapped_->word(v);
-    return model_.vocab.WordOf(static_cast<int32_t>(v));
-  }
+  std::string_view word(size_t v) const { return model_->word(v); }
   /// Id of `term`, or text::Vocabulary::kUnknownId.
   int32_t WordId(std::string_view term) const;
-  /// Per-topic Gaussians and Table-I linkage counts. On the mmap path the
-  /// Gaussians are materialized once at load (they need a Cholesky for
-  /// LogPdf anyway) and `phi` inside is intentionally empty - use phi(k).
-  const core::TopicEstimates& estimates() const {
-    return mapped_ != nullptr ? gaussian_estimates_ : model_.estimates;
-  }
+  /// Per-topic Gaussians and Table-I linkage counts, materialized once at
+  /// build (the Gaussians need a Cholesky for LogPdf anyway). `phi` inside
+  /// is intentionally empty - use phi(k).
+  const core::TopicEstimates& estimates() const { return estimates_; }
 
   const TopicTermSummary& term_summary(int k) const {
     return summaries_[static_cast<size_t>(k)];
@@ -165,29 +139,23 @@ class ServingSnapshot {
  private:
   ServingSnapshot() = default;
 
-  /// Shared tail of every factory: validate shapes/finiteness through the
-  /// view accessors, then derive the per-topic summaries.
-  Status Finalize();
+  /// Shared tail of every factory: derives the Gaussians, the word index
+  /// and the per-topic summaries from a verified image, validating
+  /// finiteness and positive-definiteness on the way.
+  static StatusOr<std::shared_ptr<const ServingSnapshot>> Build(
+      std::shared_ptr<const core::MappedModel> model, std::string source);
   Status Validate() const;
   void BuildSummaries(const text::TextureDictionary& dict, int top_terms);
 
   std::string source_;
-  uint32_t fingerprint_ = 0;
-  int num_topics_ = 0;
-  size_t vocab_size_ = 0;
   std::vector<TopicTermSummary> summaries_;
 
-  // Heap path: the decoded model. Unused (empty) when mapped_ is set.
-  core::ModelSnapshot model_;
-  // Heap path: optional vocabulary-aligned embeddings (empty when absent
-  // or when mapped_ serves them zero-copy instead).
-  embed::EmbeddingTable embeddings_;
-
-  // Mmap path: the verified mapping, Gaussians/linkage materialized from
-  // it (phi left empty), and a word -> id index over pool string_views
-  // (stable for the life of the mapping).
-  std::shared_ptr<const core::MappedModel> mapped_;
-  core::TopicEstimates gaussian_estimates_;
+  /// The model: a verified section image, mapped or owned.
+  std::shared_ptr<const core::MappedModel> model_;
+  // Derived from model_ at build: Gaussians and linkage counts (phi left
+  // empty), and a word -> id index over string_views into the image's
+  // vocabulary pool (stable for the life of model_).
+  core::TopicEstimates estimates_;
   std::unordered_map<std::string_view, int32_t> word_index_;
 };
 

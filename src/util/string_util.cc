@@ -20,18 +20,6 @@ std::vector<std::string> Split(std::string_view s, char delim) {
   return out;
 }
 
-std::vector<std::string> SplitWhitespace(std::string_view s) {
-  std::vector<std::string> out;
-  size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-    size_t start = i;
-    while (i < s.size() && !std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-    if (i > start) out.emplace_back(s.substr(start, i - start));
-  }
-  return out;
-}
-
 std::string_view Trim(std::string_view s) {
   size_t b = 0;
   while (b < s.size() && std::isspace(static_cast<unsigned char>(s[b]))) ++b;

@@ -12,9 +12,6 @@ namespace texrheo {
 /// Splits `s` on `delim`; empty fields are preserved ("a,,b" -> 3 fields).
 std::vector<std::string> Split(std::string_view s, char delim);
 
-/// Splits `s` on runs of ASCII whitespace; no empty fields are produced.
-std::vector<std::string> SplitWhitespace(std::string_view s);
-
 /// Removes leading and trailing ASCII whitespace.
 std::string_view Trim(std::string_view s);
 

@@ -1,7 +1,7 @@
 // SGNS trainer contract tests: argument validation, the 1-thread
 // bit-exactness guarantee, the (seed, num_threads) determinism contract,
-// loss descent on a structured toy corpus, checkpoint resume equivalence,
-// and the embedding sidecar's round-trip + corruption rejection.
+// loss descent on a structured toy corpus, and checkpoint resume
+// equivalence.
 
 #include "embed/sgns_trainer.h"
 
@@ -228,43 +228,6 @@ TEST(SgnsTrainerTest, CorruptCheckpointIsRejected) {
   }
   config.epochs = 4;
   EXPECT_FALSE(TrainSgns(sentences, 10, config).ok());
-}
-
-TEST(SgnsTrainerTest, SidecarRoundTripsAndRejectsCorruption) {
-  std::string dir = TempPath("sidecar");
-  auto sentences = TwoCommunityCorpus(20);
-  auto table = TrainSgns(sentences, 10, SmallConfig());
-  ASSERT_TRUE(table.ok());
-  const std::string path = dir + "/emb.bin";
-  ASSERT_TRUE(SaveEmbeddingTable(path, *table).ok());
-  auto loaded = LoadEmbeddingTable(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->dim, table->dim);
-  ASSERT_EQ(loaded->vectors.size(), table->vectors.size());
-  EXPECT_EQ(std::memcmp(loaded->vectors.data(), table->vectors.data(),
-                        table->vectors.size() * sizeof(float)),
-            0);
-  // Every single-byte flip anywhere in the file must be caught by the
-  // trailing CRC (or a structural check that fires first).
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in), {});
-  }
-  for (size_t pos : {size_t{0}, bytes.size() / 3, bytes.size() - 1}) {
-    std::string flipped = bytes;
-    flipped[pos] = static_cast<char>(flipped[pos] ^ 0x01);
-    std::ofstream(path, std::ios::binary)
-        .write(flipped.data(), static_cast<std::streamsize>(flipped.size()));
-    EXPECT_FALSE(LoadEmbeddingTable(path).ok()) << "flip at " << pos;
-  }
-  // Truncation at any prefix length is rejected, never misread.
-  for (size_t keep : {size_t{0}, size_t{7}, bytes.size() / 2,
-                      bytes.size() - 1}) {
-    std::ofstream(path, std::ios::binary)
-        .write(bytes.data(), static_cast<std::streamsize>(keep));
-    EXPECT_FALSE(LoadEmbeddingTable(path).ok()) << "truncate to " << keep;
-  }
 }
 
 }  // namespace

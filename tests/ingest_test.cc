@@ -27,6 +27,7 @@
 #include "serve/protocol.h"
 #include "serve/query_engine.h"
 #include "serve/snapshot.h"
+#include "util/csv.h"
 
 namespace texrheo::ingest {
 namespace {
@@ -663,6 +664,40 @@ TEST(IngestServiceTest, RefreshCycleRetrainsCompactsAndStaysVisible) {
                                                            "new-term"}));
   ASSERT_TRUE(redelivered.ok());
   EXPECT_TRUE(redelivered->deduped);
+}
+
+TEST(IngestServiceTest, RestartedServiceNeverPacksOverAnExistingPair) {
+  // Every process starts counting refreshes afresh; packing model-r1 again
+  // would overwrite the pair an earlier run published (and a crash between
+  // its two renames would leave neither model loadable).
+  std::string dir = FreshDir("svc_pack_numbering");
+  std::string first_idx;
+  {
+    Stack stack = MakeStack(dir);
+    ASSERT_TRUE(stack.service->Recover().ok());
+    ASSERT_TRUE(stack.service->Ingest(HardRecord()).ok());
+    auto outcome = stack.service->Refresh();
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    first_idx = outcome->model_idx_path;
+  }
+  EXPECT_EQ(fs::path(first_idx).filename(), "model-r1.idx");
+  // A stray higher-numbered leftover counts too.
+  std::ofstream(dir + "/models/model-r5.dat.tmp") << "partial";
+  std::set<std::string> existing;
+  for (const auto& entry : fs::directory_iterator(dir + "/models")) {
+    existing.insert(entry.path().string());
+  }
+  const std::string first_bytes = ReadFileToString(first_idx).value_or("");
+
+  Stack restarted = MakeStack(dir);
+  ASSERT_TRUE(restarted.service->Recover().ok());
+  ASSERT_TRUE(restarted.service->Ingest(HardRecord(0.02)).ok());
+  auto outcome = restarted.service->Refresh();
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_EQ(fs::path(outcome->model_idx_path).filename(), "model-r6.idx");
+  EXPECT_EQ(existing.count(outcome->model_idx_path), 0u);
+  EXPECT_EQ(ReadFileToString(first_idx).value_or("-"), first_bytes);
+  EXPECT_TRUE(serve::ServingSnapshot::FromFile(first_idx).ok());
 }
 
 TEST(IngestServiceTest, RefreshWarmStartsFromCheckpoint) {

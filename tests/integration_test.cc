@@ -1,7 +1,7 @@
 // End-to-end integration: exercises the full reproduction pipeline across
 // module boundaries in one deterministic scenario - corpus generation,
 // corpus file IO, word2vec screening, dataset funnel, both samplers,
-// linkage + validation, dish analysis, serialization round trip, held-out
+// linkage + validation, dish analysis, model pack round trip, held-out
 // scoring, and rule mining.
 
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "core/collapsed_sampler.h"
+#include "core/model_binary.h"
 #include "core/serialization.h"
 #include "eval/dish_analysis.h"
 #include "eval/experiment.h"
@@ -56,8 +57,10 @@ TEST_F(IntegrationTest, CorpusSurvivesFileRoundTrip) {
 TEST_F(IntegrationTest, ModelSnapshotRoundTripPreservesInference) {
   core::ModelSnapshot snapshot = core::MakeSnapshot(
       result().estimates, result().dataset.term_vocab);
-  auto reloaded = core::DeserializeModel(core::SerializeModel(snapshot));
-  ASSERT_TRUE(reloaded.ok());
+  const std::string base = testing::TempDir() + "/texrheo_integration_model";
+  ASSERT_TRUE(core::WriteModelBinary(snapshot, base).ok());
+  auto reloaded = core::ReadModelBinary(base);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   // Linkage through the reloaded snapshot agrees with the live estimates.
   recipe::FeatureConfig fc;
   for (const auto& dish : rheology::TableIIb()) {

@@ -1,6 +1,6 @@
-// Format-torture suite for the memory-mapped binary model format
-// (core/model_binary.h): byte-for-byte round-trip equivalence against the
-// v2 text path, exhaustive truncation of both files, bit-flip corruption
+// Format-torture suite for the model format (core/model_binary.h): bit-for-
+// bit equivalence of a model, its in-memory image and its pack, exhaustive
+// truncation of both files, bit-flip corruption
 // across every section, structure-aware index mutations (overlaps,
 // out-of-bounds offsets, zero/huge counts, misalignment), hostile data
 // payloads (NaN phi, duplicate pool words), and mmap fault injection.
@@ -20,6 +20,7 @@
 #include "core/serialization.h"
 #include "embed/embedding.h"
 #include "math/distributions.h"
+#include "serve/query_engine.h"
 #include "serve/snapshot.h"
 #include "util/crc32.h"
 #include "util/csv.h"
@@ -136,108 +137,188 @@ TEST(ModelBinaryTest, PathsForAcceptsBaseIdxAndDat) {
   }
 }
 
-TEST(ModelBinaryTest, PackUnpackReproducesCanonicalV2Bytes) {
-  // Binary pack canonicalizes through the v2 round-trip, so unpacking must
-  // reproduce the v2 serialization byte-for-byte (fixed point).
+TEST(ModelBinaryTest, RepackingWhatWasReadReproducesBothFiles) {
+  // Doubles travel bit for bit, so read-then-pack is a fixed point.
   std::string base = PackTiny("mb_fixed_point");
-  auto canonical = DeserializeModel(SerializeModel(TinyModel()));
-  ASSERT_TRUE(canonical.ok());
   auto unpacked = ReadModelBinary(base);
   ASSERT_TRUE(unpacked.ok()) << unpacked.status().ToString();
-  EXPECT_EQ(SerializeModel(*unpacked), SerializeModel(*canonical));
-}
-
-TEST(ModelBinaryTest, ConvertModelFileMatchesDirectPack) {
-  std::string v2_path = TempBase("mb_convert.txt");
-  ASSERT_TRUE(SaveModel(v2_path, TinyModel()).ok());
-  std::string converted = TempBase("mb_converted");
-  ASSERT_TRUE(ConvertModelFileToBinary(v2_path, converted).ok());
-  std::string direct = PackTiny("mb_direct");
-  EXPECT_EQ(MustRead(converted + ".dat"), MustRead(direct + ".dat"));
-  EXPECT_EQ(MustRead(converted + ".idx"), MustRead(direct + ".idx"));
+  EXPECT_EQ(unpacked->estimates.phi, TinyModel().estimates.phi);
+  std::string again = TempBase("mb_fixed_point_again");
+  ASSERT_TRUE(WriteModelBinary(*unpacked, again).ok());
+  EXPECT_EQ(MustRead(again + ".dat"), MustRead(base + ".dat"));
+  EXPECT_EQ(MustRead(again + ".idx"), MustRead(base + ".idx"));
 }
 
 TEST(ModelBinaryTest, MappedModelServesExactValues) {
   std::string base = PackTiny("mb_values");
   auto mapped = MappedModel::Open(base);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  auto canonical = DeserializeModel(SerializeModel(TinyModel()));
-  ASSERT_TRUE(canonical.ok());
+  ModelSnapshot model = TinyModel();
+  auto index = ParseModelBinaryIndex(MustRead(base + ".idx"));
+  ASSERT_TRUE(index.ok());
 
   EXPECT_EQ((*mapped)->num_topics(), 2);
   EXPECT_EQ((*mapped)->vocab_size(), 4u);
   EXPECT_EQ((*mapped)->gel_dim(), 3u);
   EXPECT_EQ((*mapped)->emulsion_dim(), 6u);
-  EXPECT_EQ((*mapped)->fingerprint(), Crc32(SerializeModel(*canonical)));
+  EXPECT_EQ((*mapped)->fingerprint(), ModelFingerprint(*index));
   for (int k = 0; k < 2; ++k) {
     std::span<const double> row = (*mapped)->phi_row(k);
     ASSERT_EQ(row.size(), 4u);
     for (size_t v = 0; v < row.size(); ++v) {
-      // Bit-identical to the v2-loaded values, not merely close.
-      EXPECT_EQ(row[v], canonical->estimates.phi[static_cast<size_t>(k)][v]);
+      EXPECT_EQ(row[v], model.estimates.phi[static_cast<size_t>(k)][v]);
     }
     std::span<const double> mean = (*mapped)->gel_mean(k);
     for (size_t i = 0; i < mean.size(); ++i) {
       EXPECT_EQ(mean[i],
-                canonical->estimates.gel_topics[static_cast<size_t>(k)]
-                    .mean()[i]);
+                model.estimates.gel_topics[static_cast<size_t>(k)].mean()[i]);
     }
   }
   for (size_t v = 0; v < 4; ++v) {
-    EXPECT_EQ((*mapped)->word(v),
-              canonical->vocab.WordOf(static_cast<int32_t>(v)));
+    EXPECT_EQ((*mapped)->word(v), model.vocab.WordOf(static_cast<int32_t>(v)));
     EXPECT_EQ((*mapped)->word_count(v),
-              canonical->vocab.CountOf(static_cast<int32_t>(v)));
+              model.vocab.CountOf(static_cast<int32_t>(v)));
   }
   EXPECT_EQ((*mapped)->recipe_counts()[0], 1);
   EXPECT_EQ((*mapped)->recipe_counts()[1], 2);
 }
 
-TEST(ModelBinaryTest, MmapSnapshotEqualsV2Snapshot) {
-  std::string v2_path = TempBase("mb_equiv.txt");
-  ASSERT_TRUE(SaveModel(v2_path, TinyModel()).ok());
-  std::string base = TempBase("mb_equiv");
-  ASSERT_TRUE(ConvertModelFileToBinary(v2_path, base).ok());
+/// TinyModel's shape with non-round doubles everywhere: phi rows normalized
+/// from random draws, random means, random SPD precisions. No decimal
+/// rounding reproduces these values.
+ModelSnapshot NonRoundModel() {
+  Rng rng(20261020);
+  ModelSnapshot model = TinyModel();
+  for (std::vector<double>& row : model.estimates.phi) {
+    double sum = 0.0;
+    for (double& p : row) {
+      p = 0.05 + rng.NextDouble();
+      sum += p;
+    }
+    for (double& p : row) p /= sum;
+  }
+  auto random_gaussian = [&rng](size_t dim, double center) {
+    math::Vector mean(dim);
+    for (size_t i = 0; i < dim; ++i) mean[i] = center + rng.NextDouble() / 3;
+    math::Matrix a(dim, dim);
+    for (size_t r = 0; r < dim; ++r) {
+      for (size_t c = 0; c < dim; ++c) a(r, c) = rng.NextDouble() / 7;
+    }
+    math::Matrix precision =
+        math::Matrix::Identity(dim, 2.0) + a.Multiply(a.Transposed());
+    auto g = math::Gaussian::FromPrecision(std::move(mean), precision);
+    EXPECT_TRUE(g.ok()) << g.status().ToString();
+    return *g;
+  };
+  model.estimates.gel_topics = {random_gaussian(3, 2.0),
+                                random_gaussian(3, 6.0)};
+  model.estimates.emulsion_topics = {random_gaussian(6, 1.0),
+                                     random_gaussian(6, 3.0)};
+  return model;
+}
 
-  auto from_text = serve::ServingSnapshot::FromModelFile(v2_path);
-  auto from_map = serve::ServingSnapshot::FromBinaryFile(base + ".idx");
-  ASSERT_TRUE(from_text.ok()) << from_text.status().ToString();
-  ASSERT_TRUE(from_map.ok()) << from_map.status().ToString();
-  const serve::ServingSnapshot& text = **from_text;
-  const serve::ServingSnapshot& mmapped = **from_map;
+TEST(ModelBinaryTest, SnapshotFromModelAndFromItsPackAreBitIdentical) {
+  ModelSnapshot model = NonRoundModel();
+  std::string base = TempBase("mb_bit_identical");
+  ASSERT_TRUE(WriteModelBinary(model, base).ok());
+  auto from_model = serve::ServingSnapshot::FromModel(model, "heap");
+  auto from_pack = serve::ServingSnapshot::FromFile(base + ".idx");
+  ASSERT_TRUE(from_model.ok()) << from_model.status().ToString();
+  ASSERT_TRUE(from_pack.ok()) << from_pack.status().ToString();
+  const serve::ServingSnapshot& heap = **from_model;
+  const serve::ServingSnapshot& packed = **from_pack;
 
-  EXPECT_FALSE(text.mmap_backed());
-  EXPECT_TRUE(mmapped.mmap_backed());
-  EXPECT_GT(mmapped.mapped_bytes(), 0u);
-  EXPECT_EQ(text.fingerprint(), mmapped.fingerprint());
-  ASSERT_EQ(text.num_topics(), mmapped.num_topics());
-  ASSERT_EQ(text.vocab_size(), mmapped.vocab_size());
-  for (int k = 0; k < text.num_topics(); ++k) {
-    std::span<const double> a = text.phi(k);
-    std::span<const double> b = mmapped.phi(k);
+  EXPECT_EQ(heap.fingerprint(), packed.fingerprint());
+  ASSERT_EQ(heap.num_topics(), packed.num_topics());
+  ASSERT_EQ(heap.vocab_size(), packed.vocab_size());
+  for (int k = 0; k < heap.num_topics(); ++k) {
+    const size_t ks = static_cast<size_t>(k);
+    std::span<const double> a = heap.phi(k);
+    std::span<const double> b = packed.phi(k);
     ASSERT_EQ(a.size(), b.size());
-    for (size_t v = 0; v < a.size(); ++v) EXPECT_EQ(a[v], b[v]);
-    // Derived summaries agree too (same inputs, same code path).
-    EXPECT_EQ(text.term_summary(k).top_terms,
-              mmapped.term_summary(k).top_terms);
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
+    for (size_t v = 0; v < a.size(); ++v) {
+      EXPECT_EQ(b[v], model.estimates.phi[ks][v]);
+    }
+    const math::Gaussian& gel_a = heap.estimates().gel_topics[ks];
+    const math::Gaussian& gel_b = packed.estimates().gel_topics[ks];
+    EXPECT_EQ(gel_a.mean(), model.estimates.gel_topics[ks].mean());
+    EXPECT_EQ(gel_b.mean(), model.estimates.gel_topics[ks].mean());
+    EXPECT_EQ(gel_b.precision(), model.estimates.gel_topics[ks].precision());
+    EXPECT_EQ(gel_a.precision(), gel_b.precision());
+    const math::Gaussian& emu_a = heap.estimates().emulsion_topics[ks];
+    const math::Gaussian& emu_b = packed.estimates().emulsion_topics[ks];
+    EXPECT_EQ(emu_a.mean(), emu_b.mean());
+    EXPECT_EQ(emu_b.precision(),
+              model.estimates.emulsion_topics[ks].precision());
+    EXPECT_EQ(heap.term_summary(k).top_terms,
+              packed.term_summary(k).top_terms);
   }
-  for (size_t v = 0; v < text.vocab_size(); ++v) {
-    EXPECT_EQ(text.word(v), mmapped.word(v));
-    EXPECT_EQ(text.WordId(text.word(v)), mmapped.WordId(mmapped.word(v)));
-  }
-  EXPECT_EQ(mmapped.WordId("no-such-word"), text::Vocabulary::kUnknownId);
 
-  // Identical fold-in: same stream, bit-identical theta on both paths.
+  // Same stream, bit-identical fold-in and feature placement.
   Rng rng_a = Rng::ForStream(7, 1);
   Rng rng_b = Rng::ForStream(7, 1);
-  auto theta_a = text.FoldInTheta({0, 1, 1}, math::Vector(3, 4.0), 30, 0.3,
-                                  rng_a);
-  auto theta_b = mmapped.FoldInTheta({0, 1, 1}, math::Vector(3, 4.0), 30,
-                                     0.3, rng_b);
+  auto theta_a =
+      heap.FoldInTheta({0, 1, 1, 3}, math::Vector(3, 4.1), 30, 0.3, rng_a);
+  auto theta_b =
+      packed.FoldInTheta({0, 1, 1, 3}, math::Vector(3, 4.1), 30, 0.3, rng_b);
   ASSERT_TRUE(theta_a.ok() && theta_b.ok());
   EXPECT_EQ(*theta_a, *theta_b);
-  EXPECT_EQ(text.InferTopicForFeatures(math::Vector(3, 6.0)),
-            mmapped.InferTopicForFeatures(math::Vector(3, 6.0)));
+  for (double x : {1.5, 4.1, 6.7}) {
+    EXPECT_EQ(heap.InferTopicForFeatures(math::Vector(3, x)),
+              packed.InferTopicForFeatures(math::Vector(3, x)));
+  }
+
+  // NEAREST: the Table-I ranking against each topic's gel Gaussian.
+  auto engine_a = serve::QueryEngine::Create(serve::QueryEngineConfig{},
+                                             *from_model, nullptr);
+  auto engine_b = serve::QueryEngine::Create(serve::QueryEngineConfig{},
+                                             *from_pack, nullptr);
+  ASSERT_TRUE(engine_a.ok() && engine_b.ok());
+  for (int k = 0; k < heap.num_topics(); ++k) {
+    auto near_a = (*engine_a)->NearestRheology(k);
+    auto near_b = (*engine_b)->NearestRheology(k);
+    ASSERT_TRUE(near_a.ok() && near_b.ok());
+    ASSERT_EQ(near_a->size(), near_b->size());
+    ASSERT_FALSE(near_a->empty());
+    for (size_t i = 0; i < near_a->size(); ++i) {
+      EXPECT_EQ((*near_a)[i].setting_id, (*near_b)[i].setting_id);
+      EXPECT_EQ((*near_a)[i].divergence, (*near_b)[i].divergence);
+    }
+  }
+}
+
+TEST(ModelBinaryTest, StoredFingerprintIsReportedNotRecomputed) {
+  // Packs written under an earlier fingerprint definition keep their id:
+  // readers report the stored field and never recompute it.
+  std::string base = PackMutated("mb_stored_fingerprint",
+                                 [](ModelBinaryIndex& index, std::string&) {
+                                   index.fingerprint = 0xc1ad3050u;
+                                 });
+  auto mapped = MappedModel::Open(base);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_EQ((*mapped)->fingerprint(), 0xc1ad3050u);
+  auto snapshot = serve::ServingSnapshot::FromFile(base + ".idx");
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  EXPECT_EQ((*snapshot)->fingerprint(), 0xc1ad3050u);
+}
+
+TEST(ModelBinaryTest, InMemoryImageGetsTheSameValidationAsAFile) {
+  auto image = EncodeModelImage(TinyModel());
+  ASSERT_TRUE(image.ok());
+  // The encoder's bytes are exactly what WriteModelBinary puts on disk.
+  std::string base = PackTiny("mb_image_vs_file");
+  EXPECT_EQ(std::string(image->dat()), MustRead(base + ".dat"));
+  EXPECT_EQ(EncodeModelBinaryIndex(image->index), MustRead(base + ".idx"));
+
+  ModelImage corrupt = *image;
+  const ModelSectionEntry& gel = corrupt.index.sections[1];
+  reinterpret_cast<uint8_t*>(corrupt.blocks.data())[gel.offset] ^= 0x01;
+  auto opened = MappedModel::FromImage(std::move(corrupt));
+  ASSERT_FALSE(opened.ok());
+  EXPECT_NE(opened.status().message().find("gel_mean"), std::string::npos)
+      << opened.status().message();
+  EXPECT_TRUE(MappedModel::FromImage(*std::move(image)).ok());
 }
 
 // --- Truncation -------------------------------------------------------------
@@ -378,11 +459,6 @@ TEST(ModelBinaryTest, MappedEmbeddingSectionsServeExactBytes) {
   EXPECT_EQ(std::memcmp(mapped.embedding_norms().data(), table.norms.data(),
                         table.norms.size() * sizeof(float)),
             0);
-  // The deep-copy helper reproduces the heap table exactly.
-  embed::EmbeddingTable copied = CopyEmbeddingTable(mapped);
-  EXPECT_EQ(copied.dim, table.dim);
-  EXPECT_EQ(copied.vectors, table.vectors);
-  EXPECT_EQ(copied.norms, table.norms);
   // A pack written without the pair reports none (legacy contract).
   auto legacy = MappedModel::Open(PackTiny("mb_embed_legacy"));
   ASSERT_TRUE(legacy.ok());
@@ -562,7 +638,7 @@ TEST(ModelBinaryTest, NanPhiPassesCrcButSnapshotRejectsIt) {
         RefreshSectionCrc(index, dat, 0);
       });
   ASSERT_TRUE(MappedModel::Open(base).ok());
-  auto snapshot = serve::ServingSnapshot::FromBinaryFile(base + ".idx");
+  auto snapshot = serve::ServingSnapshot::FromFile(base + ".idx");
   ASSERT_FALSE(snapshot.ok());
   EXPECT_NE(snapshot.status().message().find("non-finite"),
             std::string::npos);
@@ -595,7 +671,7 @@ TEST(ModelBinaryTest, VocabPoolFenceMutationsRejected) {
       });
   EXPECT_FALSE(MappedModel::Open(base).ok());
 
-  // A whitespace byte inside a word would break the v2 fixed point.
+  // A whitespace byte inside a word is refused, as the writer refuses it.
   base = PackMutated(
       "mb_pool_whitespace", [](ModelBinaryIndex& index, std::string& dat) {
         dat[index.sections[8].offset] = ' ';
@@ -625,7 +701,7 @@ TEST(ModelBinaryTest, DuplicatePoolWordsRejectedBySnapshotAndUnpack) {
       });
   // The fence may or may not stay structurally valid after this surgery;
   // what matters is that no duplicate-word snapshot is ever served.
-  auto snapshot = serve::ServingSnapshot::FromBinaryFile(base + ".idx");
+  auto snapshot = serve::ServingSnapshot::FromFile(base + ".idx");
   EXPECT_FALSE(snapshot.ok());
   auto unpacked = ReadModelBinary(base);
   EXPECT_FALSE(unpacked.ok());
@@ -645,9 +721,24 @@ TEST(ModelBinaryTest, WriterRejectsStructurallyBrokenModels) {
   }
   {
     ModelSnapshot model = TinyModel();
-    model.estimates.phi[1].pop_back();  // Row width != vocab size: the
-    // canonical v2 round-trip refuses it before any byte is written.
+    model.estimates.phi[1].pop_back();  // Row width != vocab size.
     EXPECT_FALSE(WriteModelBinary(model, TempBase("mb_w_row")).ok());
+  }
+  {
+    ModelSnapshot model = TinyModel();
+    model.estimates.emulsion_topics.pop_back();  // Gaussian count != K.
+    EXPECT_FALSE(WriteModelBinary(model, TempBase("mb_w_count")).ok());
+  }
+  {
+    ModelSnapshot model = TinyModel();
+    model.estimates.topic_recipe_count.push_back(3);  // Counts for K + 1.
+    EXPECT_FALSE(WriteModelBinary(model, TempBase("mb_w_counts")).ok());
+  }
+  {
+    ModelSnapshot model = TinyModel();
+    model.vocab.Add("two words");  // The reader refuses whitespace.
+    for (auto& row : model.estimates.phi) row.push_back(0.0);
+    EXPECT_FALSE(WriteModelBinary(model, TempBase("mb_w_space")).ok());
   }
 }
 

@@ -1,8 +1,8 @@
 // Golden end-to-end pipeline test: train a toy corpus twice — once
 // uninterrupted, once checkpointed, "crashed", and resumed (with the full
-// observability stack attached) — save both models, load them into serving
+// observability stack attached) — pack both models, load them into serving
 // snapshots, and serve every query type over a real socket from each.
-// Every stage must be bit-identical: sampler trajectory, model file bytes,
+// Every stage must be bit-identical: sampler trajectory, model pack bytes,
 // snapshot fingerprints, and protocol responses. This is the whole paper
 // pipeline (train -> persist -> serve, eqs. 2-5) under one roof, and it is
 // also the proof that instrumentation and crash/resume are invisible to
@@ -124,13 +124,11 @@ const std::vector<std::string>& GoldenCommands() {
   return kCommands;
 }
 
-/// Starts a server over `model_file` (v2 text or packed .idx/.dat pair —
-/// ServingSnapshot::FromFile dispatches on the extension), replays the
-/// golden commands over a real socket, and returns the responses.
-std::vector<std::string> ServeAndCollect(const std::string& model_file,
-                                         const recipe::Dataset* corpus,
-                                         uint32_t* fingerprint) {
-  auto snapshot = serve::ServingSnapshot::FromFile(model_file);
+/// Starts a server over `snapshot`, replays the golden commands over a
+/// real socket, and returns the responses.
+std::vector<std::string> ServeAndCollect(
+    const StatusOr<std::shared_ptr<const serve::ServingSnapshot>>& snapshot,
+    const recipe::Dataset* corpus, uint32_t* fingerprint) {
   EXPECT_TRUE(snapshot.ok()) << snapshot.status().ToString();
   *fingerprint = (*snapshot)->fingerprint();
 
@@ -219,26 +217,29 @@ TEST(PipelineE2eTest, CrashResumeServesBitIdenticalAnswers) {
   EXPECT_EQ(sweep_hist->count,
             static_cast<uint64_t>(kCrashAfter + kTotalSweeps - 20));
 
-  // --- Persist: identical chains => byte-identical model files. --------
-  std::string file_a = dir_a + "/model.txt";
-  std::string file_b = dir_b + "/model.txt";
-  ASSERT_TRUE(core::SaveModel(
-                  file_a, core::MakeSnapshot(model_a->Estimate(),
-                                             dataset_a.term_vocab))
+  // --- Persist: identical chains => byte-identical model packs. --------
+  std::string base_a = dir_a + "/model";
+  std::string base_b = dir_b + "/model";
+  ASSERT_TRUE(core::WriteModelBinary(
+                  core::MakeSnapshot(model_a->Estimate(), dataset_a.term_vocab),
+                  base_a)
                   .ok());
-  ASSERT_TRUE(core::SaveModel(
-                  file_b, core::MakeSnapshot(model_b->Estimate(),
-                                             dataset_b.term_vocab))
+  ASSERT_TRUE(core::WriteModelBinary(
+                  core::MakeSnapshot(model_b->Estimate(), dataset_b.term_vocab),
+                  base_b)
                   .ok());
-  EXPECT_EQ(ReadFile(file_a), ReadFile(file_b));
+  EXPECT_EQ(ReadFile(base_a + ".dat"), ReadFile(base_b + ".dat"));
+  EXPECT_EQ(ReadFile(base_a + ".idx"), ReadFile(base_b + ".idx"));
 
   // --- Serve: every query type over a real socket, from each model. ----
   uint32_t fingerprint_a = 0;
   uint32_t fingerprint_b = 0;
-  std::vector<std::string> responses_a =
-      ServeAndCollect(file_a, &dataset_a, &fingerprint_a);
-  std::vector<std::string> responses_b =
-      ServeAndCollect(file_b, &dataset_b, &fingerprint_b);
+  std::vector<std::string> responses_a = ServeAndCollect(
+      serve::ServingSnapshot::FromFile(base_a + ".idx"), &dataset_a,
+      &fingerprint_a);
+  std::vector<std::string> responses_b = ServeAndCollect(
+      serve::ServingSnapshot::FromFile(base_b + ".idx"), &dataset_b,
+      &fingerprint_b);
   EXPECT_EQ(fingerprint_a, fingerprint_b);
   ASSERT_EQ(responses_a.size(), responses_b.size());
   for (size_t i = 0; i < responses_a.size(); ++i) {
@@ -251,39 +252,37 @@ TEST(PipelineE2eTest, CrashResumeServesBitIdenticalAnswers) {
   EXPECT_NE(responses_a[3].find("cached=1"), std::string::npos);
 }
 
-TEST(PipelineE2eTest, BinaryPackServesBitIdenticalAnswersToV2) {
-  // Same model, two on-disk representations: the v2 text file parsed onto
-  // the heap, and the packed .dat/.idx pair served straight off the mmap.
+TEST(PipelineE2eTest, PackServesBitIdenticalAnswersToTheTrainedModel) {
+  // Same model, two sources: the snapshot built from the trained
+  // estimates, and the packed .dat/.idx pair served straight off the mmap.
   // Over a real socket, every protocol response must be byte-identical and
-  // the fingerprints equal — the binary format is a transparent cache of
-  // the text format, never a reinterpretation.
+  // the fingerprints equal — packing never reinterprets a value.
   recipe::Dataset dataset = PipelineDataset();
   std::string dir = FreshDir("binary_pack");
   auto model = core::JointTopicModel::Create(PipelineConfig(dir), &dataset);
   ASSERT_TRUE(model.ok()) << model.status().ToString();
   ASSERT_TRUE(model->RunSweeps(15).ok());
 
-  std::string v2_file = dir + "/model.txt";
-  ASSERT_TRUE(core::SaveModel(v2_file,
-                              core::MakeSnapshot(model->Estimate(),
-                                                 dataset.term_vocab))
-                  .ok());
+  core::ModelSnapshot snapshot =
+      core::MakeSnapshot(model->Estimate(), dataset.term_vocab);
   std::string base = dir + "/model_bin";
-  ASSERT_TRUE(core::ConvertModelFileToBinary(v2_file, base).ok());
+  ASSERT_TRUE(core::WriteModelBinary(snapshot, base).ok());
 
-  uint32_t fingerprint_text = 0;
+  uint32_t fingerprint_heap = 0;
   uint32_t fingerprint_mmap = 0;
-  std::vector<std::string> responses_text =
-      ServeAndCollect(v2_file, &dataset, &fingerprint_text);
-  std::vector<std::string> responses_mmap =
-      ServeAndCollect(base + ".idx", &dataset, &fingerprint_mmap);
-  EXPECT_EQ(fingerprint_text, fingerprint_mmap);
-  ASSERT_EQ(responses_text.size(), responses_mmap.size());
-  for (size_t i = 0; i < responses_text.size(); ++i) {
-    EXPECT_EQ(responses_text[i], responses_mmap[i])
+  std::vector<std::string> responses_heap = ServeAndCollect(
+      serve::ServingSnapshot::FromModel(snapshot, "trained"), &dataset,
+      &fingerprint_heap);
+  std::vector<std::string> responses_mmap = ServeAndCollect(
+      serve::ServingSnapshot::FromFile(base + ".idx"), &dataset,
+      &fingerprint_mmap);
+  EXPECT_EQ(fingerprint_heap, fingerprint_mmap);
+  ASSERT_EQ(responses_heap.size(), responses_mmap.size());
+  for (size_t i = 0; i < responses_heap.size(); ++i) {
+    EXPECT_EQ(responses_heap[i], responses_mmap[i])
         << "command diverged: " << GoldenCommands()[i];
-    EXPECT_EQ(responses_text[i].rfind("OK", 0), 0u)
-        << GoldenCommands()[i] << " -> " << responses_text[i];
+    EXPECT_EQ(responses_heap[i].rfind("OK", 0), 0u)
+        << GoldenCommands()[i] << " -> " << responses_heap[i];
   }
 }
 

@@ -372,7 +372,7 @@ TEST(QueryEngineTest, MmapEmbeddingAnswersMatchHeapByteForByte) {
           .ok());
   auto heap_snapshot =
       ServingSnapshot::FromModel(TinyModel(), "heap", std::move(table));
-  auto mmap_snapshot = ServingSnapshot::FromBinaryFile(base + ".idx");
+  auto mmap_snapshot = ServingSnapshot::FromFile(base + ".idx");
   ASSERT_TRUE(heap_snapshot.ok() && mmap_snapshot.ok())
       << mmap_snapshot.status().ToString();
   auto heap_corpus = EmbedCorpus();
@@ -805,7 +805,7 @@ TEST(QueryEngineTest, ReloadUnderLoadFailsZeroQueries) {
   EXPECT_EQ((*engine)->GetStats().reloads, 20u);
 }
 
-TEST(QueryEngineTest, ReloadFromBinaryFileUnderLoadFailsZeroQueries) {
+TEST(QueryEngineTest, ReloadFromPackUnderLoadFailsZeroQueries) {
   // Same acceptance bar as ReloadUnderLoadFailsZeroQueries, but the reload
   // path is the mmap-backed binary pair: each swap maps a new .dat and the
   // previous mapping may only be released once its last in-flight query
@@ -854,7 +854,7 @@ TEST(QueryEngineTest, ReloadFromBinaryFileUnderLoadFailsZeroQueries) {
   EXPECT_GT(served.load(), 0);
   EXPECT_EQ((*engine)->GetStats().reloads, 20u);
   // The published snapshot is the last binary reload, served off the map.
-  auto expected = ServingSnapshot::FromBinaryFile(base_a + ".idx");
+  auto expected = ServingSnapshot::FromFile(base_a + ".idx");
   ASSERT_TRUE(expected.ok());
   EXPECT_EQ((*engine)->GetStats().model_fingerprint,
             (*expected)->fingerprint());

@@ -1,7 +1,7 @@
 // Fuzz-style robustness tests: the parsers (quantities, CSV, recipe rows,
-// model files) must reject or survive arbitrary byte soup without crashing
-// or violating invariants. Inputs are generated from seeded RNGs so every
-// failure is reproducible.
+// checkpoints, model pack indexes) must reject or survive arbitrary byte
+// soup without crashing or violating invariants. Inputs are generated from
+// seeded RNGs so every failure is reproducible.
 
 #include <gtest/gtest.h>
 
@@ -94,16 +94,6 @@ TEST_P(FuzzSeedTest, RecipeRowParserNeverCrashes) {
       auto round = recipe::RecipeFromRow(recipe::RecipeToRow(*parsed));
       EXPECT_TRUE(round.ok());
     }
-  }
-}
-
-TEST_P(FuzzSeedTest, ModelDeserializerNeverCrashes) {
-  Rng rng(static_cast<uint64_t>(GetParam()) + 4000);
-  for (int i = 0; i < 200; ++i) {
-    std::string content = "texrheo-model 2\n" + RandomBytes(rng, 200);
-    auto snapshot = core::DeserializeModel(content);
-    // Virtually all random bodies are rejected; none may crash.
-    (void)snapshot;
   }
 }
 
@@ -348,25 +338,9 @@ TEST_P(FuzzSeedTest, TokenizerHandlesArbitraryText) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeedTest, ::testing::Range(0, 5));
 
 // Truncation fuzz: a crash can cut a file at *any* byte; every strict
-// prefix of both durable formats must be rejected, never half-loaded.
-TEST(RobustnessTest, TruncatedModelAndCheckpointFilesAreAlwaysRejected) {
-  core::ModelSnapshot snapshot;
-  snapshot.vocab.Add("purupuru");
-  snapshot.vocab.Add("fuwafuwa");
-  snapshot.estimates.phi = {{0.6, 0.4}};
-  snapshot.estimates.gel_topics.push_back(
-      math::Gaussian::FromPrecision({1.0}, math::Matrix::Identity(1))
-          .value());
-  snapshot.estimates.emulsion_topics.push_back(
-      math::Gaussian::FromPrecision({0.0}, math::Matrix::Identity(1))
-          .value());
-  snapshot.estimates.topic_recipe_count = {2};
-  std::string model_bytes = core::SerializeModel(snapshot);
-  for (size_t len = 0; len < model_bytes.size(); ++len) {
-    EXPECT_FALSE(core::DeserializeModel(model_bytes.substr(0, len)).ok())
-        << "model prefix of length " << len << " accepted";
-  }
-
+// prefix of a checkpoint must be rejected, never half-loaded. (The model
+// pack's twin lives in model_binary_test: EveryIdx/DatTruncationPrefix.)
+TEST(RobustnessTest, TruncatedCheckpointFilesAreAlwaysRejected) {
   recipe::Dataset ds;
   ds.term_vocab.Add("w0");
   recipe::Document doc;

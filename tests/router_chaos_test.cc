@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
@@ -321,12 +322,16 @@ TEST_F(RouterChaosTest, BreakerTransitionsAreDeterministicOnInjectedClock) {
   EXPECT_EQ(view.breaker.half_opened, 2u);
   EXPECT_EQ(view.breaker.reclosed, 1u);
   EXPECT_EQ(snap.GaugeValue("router.replica.0.healthy"), 1.0);
-  // And the readmitted replica carries traffic again.
+  // And the readmitted replica carries traffic again. The ring labels
+  // carry ephemeral ports, so search distinct PREDICT keys (one per 1e-4
+  // cache quantum) until one's primary is the victim: with a third of the
+  // ring each, a few thousand keys cannot all miss it.
   std::string aimed;
-  for (int i = 0; i < 64 && aimed.empty(); ++i) {
-    if (router->CandidatesFor(MixedQuery(i)).front() == victim) {
-      aimed = MixedQuery(i);
-    }
+  for (int i = 0; i < 4000 && aimed.empty(); ++i) {
+    char query[64];
+    std::snprintf(query, sizeof(query), "PREDICT gelatin=%.4f terms=katai",
+                  0.001 + 1e-4 * i);
+    if (router->CandidatesFor(query).front() == victim) aimed = query;
   }
   ASSERT_FALSE(aimed.empty());
   EXPECT_EQ(Handle(*router, aimed).rfind("OK", 0), 0u);

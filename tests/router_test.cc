@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/model_binary.h"
 #include "core/serialization.h"
 #include "math/distributions.h"
 #include "serve/query_engine.h"
@@ -340,9 +341,10 @@ TEST_F(RouterTest, RollingReloadLosesNoQueriesAndKeepsAnswersByteIdentical) {
   // A reload target on disk: same model content, so post-reload answers
   // must be byte-identical and the fleet fingerprint must converge.
   const char* tmp = std::getenv("TMPDIR");
-  const std::string model_file = std::string(tmp != nullptr ? tmp : "/tmp") +
-                                 "/router_test_reload_model.txt";
-  ASSERT_TRUE(core::SaveModel(model_file, TinyModel()).ok());
+  const std::string model_base = std::string(tmp != nullptr ? tmp : "/tmp") +
+                                 "/router_test_reload_model";
+  ASSERT_TRUE(core::WriteModelBinary(TinyModel(), model_base).ok());
+  const std::string model_file = model_base + ".idx";
 
   // Deterministic queries pinned before the rollout: NEAREST and TOPIC
   // have no per-admission RNG, so byte-identity across the reload proves

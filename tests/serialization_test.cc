@@ -1,12 +1,18 @@
+// Model persistence: MakeSnapshot, and a ModelSnapshot's round trip through
+// its one encoding, the packed section image (core/model_binary.h).
+
 #include "core/serialization.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <string>
 
+#include "core/model_binary.h"
 #include "fault_injection.h"
+#include "serve/snapshot.h"
+#include "util/crc32.h"
 #include "util/csv.h"
 
 namespace texrheo::core {
@@ -39,185 +45,99 @@ ModelSnapshot SampleSnapshot() {
   return snapshot;
 }
 
-TEST(SerializationTest, RoundTripPreservesEverything) {
+std::string TempBase(const char* name) {
+  return testing::TempDir() + "/" + name;
+}
+
+TEST(SerializationTest, PackRoundTripPreservesEverything) {
   ModelSnapshot original = SampleSnapshot();
-  auto loaded = DeserializeModel(SerializeModel(original));
+  std::string base = TempBase("texrheo_serialization_round_trip");
+  ASSERT_TRUE(WriteModelBinary(original, base).ok());
+  auto loaded = ReadModelBinary(base);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   EXPECT_EQ(loaded->vocab.size(), 3u);
   EXPECT_EQ(loaded->vocab.WordOf(0), "purupuru");
   EXPECT_EQ(loaded->vocab.IdOf("katai"), 1);
-
-  ASSERT_EQ(loaded->estimates.phi.size(), 2u);
-  for (size_t k = 0; k < 2; ++k) {
-    for (size_t v = 0; v < 3; ++v) {
-      EXPECT_NEAR(loaded->estimates.phi[k][v],
-                  original.estimates.phi[k][v], 1e-10);
-    }
-  }
+  EXPECT_EQ(loaded->estimates.phi, original.estimates.phi);
   ASSERT_EQ(loaded->estimates.gel_topics.size(), 2u);
-  EXPECT_NEAR(loaded->estimates.gel_topics[0].mean()[0], 4.5, 1e-10);
-  EXPECT_LT(loaded->estimates.gel_topics[0].precision().MaxAbsDiff(
-                original.estimates.gel_topics[0].precision()),
-            1e-10);
+  EXPECT_EQ(loaded->estimates.gel_topics[0].mean(),
+            original.estimates.gel_topics[0].mean());
+  EXPECT_EQ(loaded->estimates.gel_topics[0].precision(),
+            original.estimates.gel_topics[0].precision());
   EXPECT_EQ(loaded->estimates.topic_recipe_count,
             (std::vector<int>{12, 30}));
 }
 
-TEST(SerializationTest, LogPdfSurvivesRoundTrip) {
+TEST(SerializationTest, LogPdfSurvivesPackRoundTrip) {
   ModelSnapshot original = SampleSnapshot();
-  auto loaded = DeserializeModel(SerializeModel(original));
+  std::string base = TempBase("texrheo_serialization_logpdf");
+  ASSERT_TRUE(WriteModelBinary(original, base).ok());
+  auto loaded = ReadModelBinary(base);
   ASSERT_TRUE(loaded.ok());
   math::Vector x = {4.0, 8.0};
-  EXPECT_NEAR(loaded->estimates.gel_topics[0].LogPdf(x),
-              original.estimates.gel_topics[0].LogPdf(x), 1e-9);
+  EXPECT_EQ(loaded->estimates.gel_topics[0].LogPdf(x),
+            original.estimates.gel_topics[0].LogPdf(x));
 }
 
-TEST(SerializationTest, FileRoundTrip) {
-  std::string path = testing::TempDir() + "/texrheo_model_test.txt";
-  ModelSnapshot original = SampleSnapshot();
-  ASSERT_TRUE(SaveModel(path, original).ok());
-  auto loaded = LoadModel(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->num_topics(), 2);
-  std::remove(path.c_str());
-}
-
-TEST(SerializationTest, RejectsGarbage) {
-  EXPECT_FALSE(DeserializeModel("").ok());
-  EXPECT_FALSE(DeserializeModel("not-a-model 1\n").ok());
-  EXPECT_FALSE(DeserializeModel("texrheo-model 99\n").ok());
-  // Format 1 predates the 'end' sentinel; refuse rather than mis-parse.
-  EXPECT_FALSE(DeserializeModel("texrheo-model 1\nvocab 0\ntopics 0 0\n").ok());
-}
-
-TEST(SerializationTest, RejectsTruncatedFile) {
-  std::string content = SerializeModel(SampleSnapshot());
-  // Chop off the last gaussian lines.
-  std::string truncated = content.substr(0, content.size() / 2);
-  EXPECT_FALSE(DeserializeModel(truncated).ok());
-}
-
-TEST(SerializationTest, RejectsEveryStrictPrefix) {
-  std::string content = SerializeModel(SampleSnapshot());
-  ASSERT_GT(content.size(), 100u);
-  for (size_t len = 0; len < content.size(); ++len) {
-    auto loaded = DeserializeModel(content.substr(0, len));
-    EXPECT_FALSE(loaded.ok()) << "prefix of length " << len << " accepted";
+TEST(SerializationTest, PackCrashBeforeRenameKeepsOldPair) {
+  std::string base = TempBase("texrheo_atomic_pack");
+  ModelBinaryPaths paths = ModelBinaryPathsFor(base);
+  for (const std::string& path : {paths.dat, paths.idx}) {
+    std::filesystem::remove(path);
+    std::filesystem::remove(path + ".tmp");
   }
-}
+  ASSERT_TRUE(WriteModelBinary(SampleSnapshot(), base).ok());
+  auto dat_before = ReadFileToString(paths.dat);
+  auto idx_before = ReadFileToString(paths.idx);
+  ASSERT_TRUE(dat_before.ok() && idx_before.ok());
 
-TEST(SerializationTest, RejectsContentAfterEndMarker) {
-  std::string content = SerializeModel(SampleSnapshot());
-  EXPECT_FALSE(DeserializeModel(content + "stray trailing line\n").ok());
-}
-
-TEST(SerializationTest, ErrorsCarryLineNumbersAndExcerpts) {
-  std::string content = SerializeModel(SampleSnapshot());
-
-  // Header on line 1.
-  auto bad_header = DeserializeModel("texrheo-model zero\nrest\n");
-  ASSERT_FALSE(bad_header.ok());
-  EXPECT_NE(bad_header.status().message().find("line 1"), std::string::npos)
-      << bad_header.status().ToString();
-
-  // Corrupt the vocab count (line 2: "vocab 3").
-  std::string bad = content;
-  size_t pos = bad.find("vocab 3");
-  ASSERT_NE(pos, std::string::npos);
-  bad.replace(pos, 7, "vocab x");
-  auto loaded = DeserializeModel(bad);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("line 2"), std::string::npos)
-      << loaded.status().ToString();
-  // The offending line is excerpted in the message.
-  EXPECT_NE(loaded.status().message().find("vocab x"), std::string::npos)
-      << loaded.status().ToString();
-}
-
-TEST(SerializationTest, ErrorsCarryByteOffsets) {
-  std::string content = SerializeModel(SampleSnapshot());
-
-  // Line 1 starts at byte 0.
-  auto bad_header = DeserializeModel("texrheo-model zero\nrest\n");
-  ASSERT_FALSE(bad_header.ok());
-  EXPECT_NE(bad_header.status().message().find("@ byte 0"), std::string::npos)
-      << bad_header.status().ToString();
-
-  // Corrupt the vocab count: the reported offset is where line 2 starts,
-  // i.e. the length of line 1 plus its newline.
-  std::string bad = content;
-  size_t pos = bad.find("vocab 3");
-  ASSERT_NE(pos, std::string::npos);
-  bad.replace(pos, 7, "vocab x");
-  auto loaded = DeserializeModel(bad);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("@ byte " + std::to_string(pos)),
-            std::string::npos)
-      << loaded.status().ToString();
-
-  // Deep corruption (a gaussian line) points far into the file, not at 0.
-  size_t gel_pos = content.find("gel_topic");
-  ASSERT_NE(gel_pos, std::string::npos);
-  std::string deep = content;
-  deep.replace(gel_pos, 9, "gel_tpoic");
-  auto deep_loaded = DeserializeModel(deep);
-  ASSERT_FALSE(deep_loaded.ok());
-  EXPECT_NE(
-      deep_loaded.status().message().find("@ byte " + std::to_string(gel_pos)),
-      std::string::npos)
-      << deep_loaded.status().ToString();
-}
-
-TEST(SerializationTest, MissingEndMarkerNamesTheLastLine) {
-  std::string content = SerializeModel(SampleSnapshot());
-  // Drop the "end\n" sentinel but keep the file newline-terminated.
-  size_t pos = content.rfind("end\n");
-  ASSERT_NE(pos, std::string::npos);
-  auto loaded = DeserializeModel(content.substr(0, pos));
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("end"), std::string::npos)
-      << loaded.status().ToString();
-}
-
-TEST(SerializationTest, SaveModelCrashBeforeRenameKeepsOldModel) {
-  std::string path = testing::TempDir() + "/texrheo_atomic_model.txt";
-  std::filesystem::remove(path);
-  std::filesystem::remove(path + ".tmp");
-  ModelSnapshot original = SampleSnapshot();
-  ASSERT_TRUE(SaveModel(path, original).ok());
-  auto before = ReadFileToString(path);
-  ASSERT_TRUE(before.ok());
-
-  // The process dies between fsync and rename; the temp file cannot be
-  // cleaned up either.
+  // The process dies between fsync and the first rename (.dat); the temp
+  // file cannot be cleaned up either.
   ModelSnapshot changed = SampleSnapshot();
   changed.vocab.Add("tsurutsuru");
+  for (auto& row : changed.estimates.phi) row.push_back(0.0);
   FaultInjectingFileOps ops;
   ops.crash_before_rename = true;
   ops.skip_remove = true;
-  EXPECT_FALSE(SaveModel(path, changed, ops).ok());
+  EXPECT_FALSE(WriteModelBinary(changed, base, ops).ok());
 
-  // The previously saved model is untouched and still loads.
-  auto after = ReadFileToString(path);
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(*after, *before);
-  auto loaded = LoadModel(path);
-  ASSERT_TRUE(loaded.ok());
+  // The previous pair is untouched and still loads.
+  EXPECT_EQ(ReadFileToString(paths.dat).value_or(""), *dat_before);
+  EXPECT_EQ(ReadFileToString(paths.idx).value_or(""), *idx_before);
+  auto loaded = ReadModelBinary(base);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->vocab.size(), 3u);
-  std::filesystem::remove(path);
-  std::filesystem::remove(path + ".tmp");
+  for (const std::string& path : {paths.dat, paths.idx}) {
+    std::filesystem::remove(path);
+    std::filesystem::remove(path + ".tmp");
+  }
 }
 
-TEST(SerializationTest, RejectsCorruptedPrecision) {
-  std::string content = SerializeModel(SampleSnapshot());
-  // Make a precision matrix non-positive-definite by negating a diagonal.
-  size_t pos = content.find("gel_topic 0");
-  ASSERT_NE(pos, std::string::npos);
-  size_t val = content.find("3.0", pos);
-  ASSERT_NE(val, std::string::npos);
-  content.replace(val, 3, "-3.");
-  EXPECT_FALSE(DeserializeModel(content).ok());
+TEST(SerializationTest, RejectsNonPositiveDefinitePrecisionAtLoad) {
+  std::string base = TempBase("texrheo_serialization_bad_precision");
+  ASSERT_TRUE(WriteModelBinary(SampleSnapshot(), base).ok());
+  // Negate the first diagonal entry of topic 0's gel precision and re-frame
+  // the pack with valid CRCs: the bytes check out, the matrix does not.
+  ModelBinaryPaths paths = ModelBinaryPathsFor(base);
+  auto index = ParseModelBinaryIndex(ReadFileToString(paths.idx).value());
+  ASSERT_TRUE(index.ok());
+  std::string dat = ReadFileToString(paths.dat).value();
+  ModelSectionEntry& precision = index->sections[2];
+  ASSERT_EQ(precision.id, static_cast<uint32_t>(ModelSection::kGelPrecision));
+  double diagonal = -3.0;
+  std::memcpy(dat.data() + precision.offset, &diagonal, sizeof(diagonal));
+  precision.crc32 = Crc32(dat.data() + precision.offset, precision.size);
+  ASSERT_TRUE(WriteStringToFile(paths.dat, dat).ok());
+  ASSERT_TRUE(WriteStringToFile(paths.idx, EncodeModelBinaryIndex(*index)).ok());
+
+  ASSERT_TRUE(MappedModel::Open(base).ok());  // Format-valid...
+  EXPECT_FALSE(ReadModelBinary(base).ok());   // ...but not a Gaussian.
+  auto snapshot = serve::ServingSnapshot::FromFile(base);
+  ASSERT_FALSE(snapshot.ok());
+  EXPECT_NE(snapshot.status().message().find("positive definite"),
+            std::string::npos)
+      << snapshot.status().ToString();
 }
 
 TEST(SerializationTest, MakeSnapshotStripsPerDocumentState) {
@@ -242,9 +162,10 @@ TEST(SerializationTest, MakeSnapshotStripsPerDocumentState) {
 }
 
 TEST(SerializationTest, LoadMissingFileIsIOError) {
-  auto loaded = LoadModel("/nonexistent/texrheo/model.txt");
+  auto loaded = ReadModelBinary("/nonexistent/texrheo/model");
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+  EXPECT_FALSE(serve::ServingSnapshot::FromFile("/nonexistent/model.idx").ok());
 }
 
 }  // namespace

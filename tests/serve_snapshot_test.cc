@@ -1,5 +1,5 @@
-// ServingSnapshot: structural validation, fingerprint semantics, model-file
-// and checkpoint loading, eq.-5 fold-in against point estimates (incl.
+// ServingSnapshot: structural validation, fingerprint semantics, pack and
+// checkpoint loading, eq.-5 fold-in against point estimates (incl.
 // determinism and thread safety of the const read path).
 
 #include "serve/snapshot.h"
@@ -74,6 +74,13 @@ TEST(ServingSnapshotTest, FingerprintIsContentAddressed) {
   auto c = ServingSnapshot::FromModel(std::move(changed), "c");
   ASSERT_TRUE(c.ok());
   EXPECT_NE((*a)->fingerprint(), (*c)->fingerprint());
+
+  // The Gaussians are part of the fingerprinted sections too.
+  core::ModelSnapshot moved = TinyModel();
+  moved.estimates.gel_topics[1] = MakeGaussian(6.5, 3);
+  auto d = ServingSnapshot::FromModel(moved, "d");
+  ASSERT_TRUE(d.ok());
+  EXPECT_NE((*a)->fingerprint(), (*d)->fingerprint());
 }
 
 TEST(ServingSnapshotTest, RejectsStructurallyBrokenModels) {
@@ -203,22 +210,6 @@ TEST(ServingSnapshotTest, ConcurrentFoldInsAreSafeAndIndependent) {
   for (int i = 0; i < 8; ++i) EXPECT_EQ(mismatches[static_cast<size_t>(i)], 0);
 }
 
-TEST(ServingSnapshotTest, FromModelFileRoundTripsFingerprint) {
-  std::string path = testing::TempDir() + "/texrheo_serve_snapshot_model.txt";
-  core::ModelSnapshot model = TinyModel();
-  ASSERT_TRUE(core::SaveModel(path, model).ok());
-  auto direct = ServingSnapshot::FromModel(std::move(model), "direct");
-  auto loaded = ServingSnapshot::FromModelFile(path);
-  ASSERT_TRUE(direct.ok() && loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ((*loaded)->fingerprint(), (*direct)->fingerprint());
-  EXPECT_EQ((*loaded)->source(), path);
-  std::remove(path.c_str());
-}
-
-TEST(ServingSnapshotTest, FromModelFileFailsCleanlyOnMissingFile) {
-  EXPECT_FALSE(ServingSnapshot::FromModelFile("/nonexistent/model.txt").ok());
-}
-
 // --- Memory-mapped binary snapshots ----------------------------------------
 
 /// Packs TinyModel to TempDir under `name` and returns the base path.
@@ -228,33 +219,27 @@ std::string PackTinyBinary(const char* name) {
   return base;
 }
 
-TEST(ServingSnapshotTest, FromFileDispatchesOnExtension) {
-  std::string v2_path = testing::TempDir() + "/texrheo_dispatch_model.txt";
-  ASSERT_TRUE(core::SaveModel(v2_path, TinyModel()).ok());
-  std::string base = PackTinyBinary("texrheo_dispatch_model");
+TEST(ServingSnapshotTest, FromFileRoundTripsFingerprint) {
+  std::string base = PackTinyBinary("texrheo_serve_snapshot_model");
+  auto direct = ServingSnapshot::FromModel(TinyModel(), "direct");
+  auto loaded = ServingSnapshot::FromFile(base + ".idx");
+  ASSERT_TRUE(direct.ok() && loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ((*loaded)->fingerprint(), (*direct)->fingerprint());
+  EXPECT_EQ((*loaded)->source(), base + ".idx");
+  EXPECT_GT((*loaded)->mapped_bytes(), 0u);
+}
 
-  auto text = ServingSnapshot::FromFile(v2_path);
-  ASSERT_TRUE(text.ok()) << text.status().ToString();
-  EXPECT_FALSE((*text)->mmap_backed());
-
-  // Either spelling of the pair resolves to the mmap path.
-  for (const std::string& path : {base + ".idx", base + ".dat"}) {
-    auto mapped = ServingSnapshot::FromFile(path);
-    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-    EXPECT_TRUE((*mapped)->mmap_backed());
-    EXPECT_GT((*mapped)->mapped_bytes(), 0u);
-    EXPECT_EQ((*mapped)->fingerprint(), (*text)->fingerprint());
-  }
-  std::remove(v2_path.c_str());
+TEST(ServingSnapshotTest, FromFileFailsCleanlyOnMissingFile) {
+  EXPECT_FALSE(ServingSnapshot::FromFile("/nonexistent/model.idx").ok());
 }
 
 TEST(ServingSnapshotTest, ConcurrentFoldInsOnMmapSnapshotMatchHeapSnapshot) {
-  // The mmap read path (phi rows served straight from the mapping) must be
-  // bit-identical to the heap path and safe to race; the TSan leg of ci.sh
-  // watches this test like its heap twin above.
+  // A snapshot mapped from a pack (phi rows served straight from the
+  // mapping) must be bit-identical to one built from the model and safe to
+  // race; the TSan leg of ci.sh watches this test like its twin above.
   std::string base = PackTinyBinary("texrheo_mmap_concurrent");
   auto heap = ServingSnapshot::FromModel(TinyModel(), "heap");
-  auto mapped = ServingSnapshot::FromBinaryFile(base + ".idx");
+  auto mapped = ServingSnapshot::FromFile(base + ".idx");
   ASSERT_TRUE(heap.ok() && mapped.ok()) << mapped.status().ToString();
   std::vector<std::vector<double>> expected(8);
   for (int i = 0; i < 8; ++i) {
@@ -281,9 +266,9 @@ TEST(ServingSnapshotTest, ConcurrentFoldInsOnMmapSnapshotMatchHeapSnapshot) {
 }
 
 TEST(ServingSnapshotTest, EmbeddingViewIsByteIdenticalAcrossHeapAndMmap) {
-  // One trained table, two storage paths: a heap snapshot holding the
-  // table and an mmap snapshot of a pack written from the same table must
-  // expose bit-identical vectors and norms through embedding_view().
+  // One trained table, two sources: a snapshot built from the model and
+  // the table, and a mapped pack written from the same table, must expose
+  // bit-identical vectors and norms through embedding_view().
   embed::EmbeddingTable table;
   table.dim = 8;
   table.vectors.resize(4 * table.dim);
@@ -297,7 +282,7 @@ TEST(ServingSnapshotTest, EmbeddingViewIsByteIdenticalAcrossHeapAndMmap) {
       core::WriteModelBinary(TinyModel(), base, FileOps::Real(), &table)
           .ok());
   auto heap = ServingSnapshot::FromModel(TinyModel(), "heap", table);
-  auto mapped = ServingSnapshot::FromBinaryFile(base + ".idx");
+  auto mapped = ServingSnapshot::FromFile(base + ".idx");
   ASSERT_TRUE(heap.ok() && mapped.ok()) << mapped.status().ToString();
 
   ASSERT_TRUE((*heap)->has_embeddings());
@@ -328,7 +313,7 @@ TEST(ServingSnapshotTest, LegacySnapshotsReportNoEmbeddings) {
   EXPECT_FALSE((*heap)->has_embeddings());
   EXPECT_TRUE((*heap)->embedding_view().vectors.empty());
   auto mapped =
-      ServingSnapshot::FromBinaryFile(PackTinyBinary("texrheo_no_embed"));
+      ServingSnapshot::FromFile(PackTinyBinary("texrheo_no_embed"));
   ASSERT_TRUE(mapped.ok());
   EXPECT_FALSE((*mapped)->has_embeddings());
   EXPECT_TRUE((*mapped)->embedding_view().vectors.empty());
@@ -353,7 +338,7 @@ class CountingMapOps final : public core::MemoryMapOps {
 TEST(ServingSnapshotTest, UnmapDeferredUntilLastReferenceDrops) {
   std::string base = PackTinyBinary("texrheo_mmap_refcount");
   CountingMapOps ops;
-  auto loaded = ServingSnapshot::FromBinaryFile(base + ".idx", ops);
+  auto loaded = ServingSnapshot::FromFile(base + ".idx", ops);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(ops.maps.load(), 1);
   std::shared_ptr<const ServingSnapshot> holder = *loaded;
@@ -371,7 +356,7 @@ TEST(ServingSnapshotTest, UnmapWaitsForInFlightQueriesUnderRace) {
   // verifies no query ever touches unmapped memory.
   std::string base = PackTinyBinary("texrheo_mmap_reload_race");
   CountingMapOps ops;
-  auto loaded = ServingSnapshot::FromBinaryFile(base + ".idx", ops);
+  auto loaded = ServingSnapshot::FromFile(base + ".idx", ops);
   ASSERT_TRUE(loaded.ok());
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;

@@ -12,13 +12,6 @@ TEST(SplitTest, BasicAndEmptyFields) {
   EXPECT_EQ(Split(",", ','), (std::vector<std::string>{"", ""}));
 }
 
-TEST(SplitWhitespaceTest, CollapsesRuns) {
-  EXPECT_EQ(SplitWhitespace("  a \t b\nc  "),
-            (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_TRUE(SplitWhitespace("   ").empty());
-  EXPECT_TRUE(SplitWhitespace("").empty());
-}
-
 TEST(TrimTest, RemovesOuterWhitespaceOnly) {
   EXPECT_EQ(Trim("  hello world \t"), "hello world");
   EXPECT_EQ(Trim(""), "");
